@@ -10,14 +10,15 @@ periods    print the exact period matrix at one bidegree
 scan       stream summaries for many complexes at a fixed vertex count
 
 Exit codes: 0 success, 2 bad input, 3 engine disagreement, 4 violated
-internal invariant.  All output is deterministic: repeated runs, with
-any worker count, produce identical bytes.
+internal invariant or other internal error.  All output is deterministic:
+repeated runs, with any worker count, produce identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from itertools import combinations
@@ -67,14 +68,14 @@ MAX_COBOUNDARY_CHECKS = 200
 
 
 def _load_complex(path: str) -> SimplicialComplex:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_complex(text)
 
 
@@ -101,9 +102,13 @@ def _positive_int(text: str) -> int:
 
 
 def _run_parallel(worker, payloads: list, jobs: int) -> list:
-    """Map a worker over payloads, in order, optionally with a pool."""
-    if jobs > 1 and len(payloads) > 1:
-        with Pool(processes=min(jobs, len(payloads))) as pool:
+    """Map a worker over payloads, in order, optionally with a pool.
+
+    The pool never has more processes than payloads or than CPUs.
+    """
+    processes = min(jobs, len(payloads), os.cpu_count() or 1)
+    if processes > 1:
+        with Pool(processes=processes) as pool:
             return pool.map(worker, payloads)
     return [worker(payload) for payload in payloads]
 
@@ -505,11 +510,12 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (CompositionError, InvariantViolation) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except ValueError as exc:
+        # inputs are validated with ParseError; any other ValueError is a bug
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -9,15 +9,24 @@ indices (`face`), which must be disjoint.  The monomial with exterior set
 of size p and face of size q - p sits in bidegree (-p, 2q); this module
 keys everything by the pair (p, q) of nonnegative integers and the chain
 convention is that the differential lowers p by one while fixing q.
+
+The differential also fixes the support, the union of the two index
+sets: this is the Z^n-multigrading of the algebra.  Cohomology is
+therefore computed one support block at a time, each block with its own
+small pair of matrices, and summed; a term that leaves its block raises
+InvariantViolation.  Smith transforms are paid for only when
+representatives are requested.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
-from .linalg import HomologyResult, IntMatrix, homology_of_pair
-from .simplicial import SimplicialComplex, face_key
+from .errors import InvariantViolation
+from .linalg import HomologyResult, IntMatrix, homology_of_pair, invariant_factor_chain
+from .simplicial import SimplicialComplex
 
 
 @dataclass(frozen=True, order=True)
@@ -62,12 +71,14 @@ def koszul_basis(K: SimplicialComplex, p: int, q: int) -> tuple:
     size = q - p
     if p < 0 or size < 0:
         return ()
-    basis = []
+    pairs = []
     for J in K.faces_of_size(size):
         rest = [v for v in range(1, K.n + 1) if v not in J]
-        for I in combinations(rest, p):
-            basis.append(KoszulMonomial(I, J))
-    basis.sort(key=lambda m: (face_key(m.exterior), face_key(m.face)))
+        pairs.extend((I, J) for I in combinations(rest, p))
+    # all exterior parts have size p and all faces size q - p, so plain
+    # tuple order is the graded lexicographic order of face_key
+    pairs.sort()
+    basis = [KoszulMonomial(I, J) for I, J in pairs]
     return tuple(basis)
 
 
@@ -83,7 +94,7 @@ def koszul_differential(K: SimplicialComplex, m: KoszulMonomial) -> KoszulElemen
         new_face = tuple(sorted(J + (i,)))
         if not K.has_face(new_face):
             continue
-        term = KoszulMonomial(tuple(v for v in I if v != i), new_face)
+        term = KoszulMonomial(I[:k - 1] + I[k:], new_face)
         sign = 1 if k % 2 else -1
         out[term] = out.get(term, 0) + sign
         if not out[term]:
@@ -106,28 +117,70 @@ def apply_differential(K: SimplicialComplex, element: KoszulElement) -> KoszulEl
     return out
 
 
-def differential_matrix(K: SimplicialComplex, p: int, q: int) -> IntMatrix:
-    """Matrix of the differential from bidegree (p, q) to (p - 1, q)."""
-    source = koszul_basis(K, p, q)
-    target = koszul_basis(K, p - 1, q)
+def _matrix(K: SimplicialComplex, source, target) -> IntMatrix:
+    """Matrix of the differential from the monomials `source` to `target`.
+
+    A term outside `target` raises InvariantViolation; for a support block
+    that means the differential left the block.
+    """
     index = {m: i for i, m in enumerate(target)}
     M = IntMatrix(len(target), len(source))
     for j, m in enumerate(source):
         for term, sign in koszul_differential(K, m).items():
-            M.add(index[term], j, sign)
+            i = index.get(term)
+            if i is None:
+                raise InvariantViolation(
+                    f"differential of {m} has the term {term} outside its target")
+            M.add(i, j, sign)
     return M
+
+
+def differential_matrix(K: SimplicialComplex, p: int, q: int) -> IntMatrix:
+    """Matrix of the differential from bidegree (p, q) to (p - 1, q)."""
+    return _matrix(K, koszul_basis(K, p, q), koszul_basis(K, p - 1, q))
+
+
+def _support_blocks(basis: tuple) -> dict:
+    """Monomials of `basis` grouped by support, the union of both index sets.
+
+    Each value lists (position in basis, monomial) in basis order; supports
+    appear in order of first occurrence.
+    """
+    blocks: dict = {}
+    for i, m in enumerate(basis):
+        blocks.setdefault(tuple(sorted(m.exterior + m.face)), []).append((i, m))
+    return blocks
 
 
 def koszul_cohomology(K: SimplicialComplex, p: int, q: int, ring: str = "Z",
                       want_representatives: bool = True) -> HomologyResult:
     """Cohomology of the algebra in bidegree (-p, 2q).
 
+    The differential moves an index between the exterior and face parts,
+    so it preserves the support S = exterior + face, and the cochains split
+    as a direct sum over q-subsets S.  Each block gets its own pair of
+    matrices; ranks add, and torsion merges into one divisibility chain.
     Representative vectors are coordinates over koszul_basis(K, p, q).
     """
-    d_out = differential_matrix(K, p, q)
-    d_in = differential_matrix(K, p + 1, q)
-    return homology_of_pair(d_in, d_out, ring=ring,
-                            want_representatives=want_representatives)
+    middle = koszul_basis(K, p, q)
+    lower = _support_blocks(koszul_basis(K, p - 1, q))
+    upper = _support_blocks(koszul_basis(K, p + 1, q))
+    zero = Fraction(0) if ring == "Q" else 0
+    rank, torsion, reps = 0, [], []
+    for S, block in _support_blocks(middle).items():
+        monomials = [m for _, m in block]
+        d_out = _matrix(K, monomials, [m for _, m in lower.get(S, ())])
+        d_in = _matrix(K, [m for _, m in upper.get(S, ())], monomials)
+        H = homology_of_pair(d_in, d_out, ring=ring,
+                             want_representatives=want_representatives)
+        rank += H.rank
+        torsion.extend(H.torsion)
+        for local in H.representatives:
+            vec = [zero] * len(middle)
+            for (i, _), v in zip(block, local):
+                vec[i] = v
+            reps.append(tuple(vec))
+    return HomologyResult(rank, invariant_factor_chain(torsion), tuple(reps))
 
 
 def koszul_bigraded(K: SimplicialComplex, ring: str = "Z") -> dict:

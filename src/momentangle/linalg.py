@@ -5,6 +5,12 @@ fractions.Fraction; no floating point is used anywhere.  Matrices are
 sparse row dicts because the chain-level matrices in this package are
 mostly zeros, while the Smith normal form runs on dense lists (the
 matrices that reach it are small).
+
+One Smith elimination serves two entry points: smith_normal_form returns
+the invariant factors alone, and smith_with_transforms also keeps the
+four change-of-basis matrices.  homology_of_pair pays for the transforms
+only when representatives are requested; over Z, ranks and torsion come
+from invariant factors alone.
 """
 
 from __future__ import annotations
@@ -154,62 +160,75 @@ def _identity_rows(n: int) -> list:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def smith_with_transforms(M: IntMatrix):
-    """Smith normal form with all four change-of-basis matrices.
+def _smith(A: list, transforms) -> tuple:
+    """Diagonalize the dense rows A in place and return its invariant factors.
 
-    Returns (factors, U, Uinv, V, Vinv) where U * M * V is diagonal with
-    the given nonzero invariant factors (each dividing the next, leading
-    1s included) in its upper-left corner, U and V are unimodular, and
-    Uinv, Vinv are their exact inverses.  All five are dense row lists.
+    `transforms` is None, or the list [U, Uinv, V, Vinv] of identity-started
+    dense matrices that every row and column operation also updates, so
+    that U * M * V ends up diagonal.  The elimination is the same either
+    way; without transforms it only skips their bookkeeping.
     """
-    A = M.to_rows()
-    m, n = M.nrows, M.ncols
-    U, Uinv = _identity_rows(m), _identity_rows(m)
-    V, Vinv = _identity_rows(n), _identity_rows(n)
+    m = len(A)
+    n = len(A[0]) if A else 0
+    if transforms is not None:
+        U, Uinv, V, Vinv = transforms
 
+    # Rows t.. are zero left of column t and columns t.. are zero above
+    # row t, so the operations at step t only touch the trailing block.
     def swap_rows(a, b):
         A[a], A[b] = A[b], A[a]
-        U[a], U[b] = U[b], U[a]
-        for r in Uinv:
-            r[a], r[b] = r[b], r[a]
+        if transforms is not None:
+            U[a], U[b] = U[b], U[a]
+            for r in Uinv:
+                r[a], r[b] = r[b], r[a]
 
     def swap_cols(a, b):
-        for r in A:
+        for r in A[t:]:
             r[a], r[b] = r[b], r[a]
-        for r in V:
-            r[a], r[b] = r[b], r[a]
-        Vinv[a], Vinv[b] = Vinv[b], Vinv[a]
+        if transforms is not None:
+            for r in V:
+                r[a], r[b] = r[b], r[a]
+            Vinv[a], Vinv[b] = Vinv[b], Vinv[a]
 
-    def row_op(i, t, q):
-        # row_i -= q * row_t
-        A[i] = [x - q * y for x, y in zip(A[i], A[t])]
-        U[i] = [x - q * y for x, y in zip(U[i], U[t])]
-        for r in Uinv:
-            r[t] += q * r[i]
+    def row_op(i, s, q):
+        # row_i -= q * row_s
+        A[i][t:] = [x - q * y for x, y in zip(A[i][t:], A[s][t:])]
+        if transforms is not None:
+            U[i] = [x - q * y for x, y in zip(U[i], U[s])]
+            for r in Uinv:
+                r[s] += q * r[i]
 
-    def col_op(j, t, q):
-        # col_j -= q * col_t
-        for r in A:
-            r[j] -= q * r[t]
-        for r in V:
-            r[j] -= q * r[t]
-        Vinv[t] = [x + q * y for x, y in zip(Vinv[t], Vinv[j])]
+    def col_op(j, s, q):
+        # col_j -= q * col_s
+        for r in A[t:]:
+            r[j] -= q * r[s]
+        if transforms is not None:
+            for r in V:
+                r[j] -= q * r[s]
+            Vinv[s] = [x + q * y for x, y in zip(Vinv[s], Vinv[j])]
 
     def negate_row(i):
         A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-        for r in Uinv:
-            r[i] = -r[i]
+        if transforms is not None:
+            U[i] = [-x for x in U[i]]
+            for r in Uinv:
+                r[i] = -r[i]
 
     t = 0
     while t < min(m, n):
-        # smallest nonzero entry of the trailing submatrix becomes the pivot
-        best = None
+        # the first entry of least absolute value in the trailing block is
+        # the pivot; a unit cannot be beaten, so the search stops there
+        best, least = None, 0
         for i in range(t, m):
+            row = A[i]
             for j in range(t, n):
-                v = A[i][j]
-                if v and (best is None or abs(v) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
+                v = row[j]
+                if v and (best is None or abs(v) < least):
+                    best, least = (i, j), abs(v)
+                    if least == 1:
+                        break
+            if least == 1:
+                break
         if best is None:
             break
         if best[0] != t:
@@ -234,15 +253,15 @@ def smith_with_transforms(M: IntMatrix):
                         dirty = True
             if dirty:
                 continue
-            # pivot must divide every remaining entry for the chain condition
+            # pivot must divide every remaining entry for the chain
+            # condition, which a unit pivot always does
+            pivot = A[t][t]
             offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % A[t][t]:
+            if pivot not in (1, -1):
+                for i in range(t + 1, m):
+                    if any(x % pivot for x in A[i][t + 1:]):
                         offender = i
                         break
-                if offender is not None:
-                    break
             if offender is None:
                 break
             row_op(t, offender, -1)  # add offending row into the pivot row
@@ -250,13 +269,31 @@ def smith_with_transforms(M: IntMatrix):
             negate_row(t)
         t += 1
 
-    factors = tuple(A[i][i] for i in range(min(m, n)) if A[i][i])
-    return factors, U, Uinv, V, Vinv
+    factors = [A[i][i] for i in range(min(m, n)) if A[i][i]]
+    return tuple(factors)
+
+
+def smith_with_transforms(M: IntMatrix):
+    """Smith normal form with all four change-of-basis matrices.
+
+    Returns (factors, U, Uinv, V, Vinv) where U * M * V is diagonal with
+    the given nonzero invariant factors (each dividing the next, leading
+    1s included) in its upper-left corner, U and V are unimodular, and
+    Uinv, Vinv are their exact inverses.  All five are dense row lists.
+    """
+    transforms = [_identity_rows(M.nrows), _identity_rows(M.nrows),
+                  _identity_rows(M.ncols), _identity_rows(M.ncols)]
+    factors = _smith(M.to_rows(), transforms)
+    return (factors, *transforms)
 
 
 def smith_normal_form(M: IntMatrix) -> tuple:
-    """Nonzero invariant factors of M, leading 1s included."""
-    return smith_with_transforms(M)[0]
+    """Nonzero invariant factors of M, leading 1s included.
+
+    Runs the elimination of smith_with_transforms without keeping any
+    change-of-basis matrix.
+    """
+    return _smith(M.to_rows(), None)
 
 
 @dataclass(frozen=True)
@@ -277,11 +314,17 @@ class HomologyResult:
 
 def homology_of_pair(d_in: IntMatrix, d_out: IntMatrix, ring: str = "Z",
                      want_representatives: bool = True) -> HomologyResult:
-    """Homology ker(d_out)/im(d_in) with exact representatives.
+    """Homology ker(d_out)/im(d_in), with exact representatives on request.
+
+    Over Z without representatives no transform is computed: the rank is
+    nmid - rank(d_out) - rank(d_in), both ranks counted from invariant
+    factors, and the torsion is that of coker(d_in), because ker(d_out) is
+    saturated.  With representatives, the Smith transforms of d_out give a
+    kernel basis and those of d_in in kernel coordinates give the classes.
 
     Raises CompositionError unless d_out * d_in = 0, and InvariantViolation
-    if the image fails to land in the kernel coordinates afterwards (which
-    would mean the Smith transforms are wrong).
+    if the image fails to land in the kernel coordinates (which would mean
+    the Smith transforms are wrong).
     """
     if d_in.nrows != d_out.ncols:
         raise ValueError(
@@ -305,6 +348,11 @@ def homology_of_pair(d_in: IntMatrix, d_out: IntMatrix, ring: str = "Z",
         return HomologyResult(r, (), reps)
     if ring != "Z":
         raise ValueError(f"ring must be 'Z' or 'Q', got {ring!r}")
+    if not want_representatives:
+        factors_in = smith_normal_form(d_in)
+        free_rank = nmid - len(smith_normal_form(d_out)) - len(factors_in)
+        # torsion: the factors > 1, which follow the leading 1s of the chain
+        return HomologyResult(free_rank, factors_in[factors_in.count(1):], ())
 
     factors_out, _, _, V1, V1inv = smith_with_transforms(d_out)
     r_out = len(factors_out)
@@ -323,18 +371,15 @@ def homology_of_pair(d_in: IntMatrix, d_out: IntMatrix, ring: str = "Z",
 
     factors_in, _, U2inv, _, _ = smith_with_transforms(X)
     m = len(factors_in)
-    torsion = tuple(f for f in factors_in if f != 1)
+    torsion = factors_in[factors_in.count(1):]
     free_rank = k - m
 
-    reps = []
-    if want_representatives:
-        # kernel basis in middle coordinates: columns r_out.. of V1
-        for col in range(m, k):
-            vec = [
-                sum(V1[i][r_out + l] * U2inv[l][col] for l in range(k))
-                for i in range(nmid)
-            ]
-            reps.append(tuple(vec))
+    # kernel basis in middle coordinates: columns r_out.. of V1
+    reps = [
+        tuple(sum(V1[i][r_out + l] * U2inv[l][col] for l in range(k))
+              for i in range(nmid))
+        for col in range(m, k)
+    ]
     return HomologyResult(free_rank, torsion, tuple(reps))
 
 

@@ -116,6 +116,60 @@ def test_internal_violation_exits_4(square_file, monkeypatch, capsys):
     assert "internal invariant violation" in capsys.readouterr().err
 
 
+def test_other_value_error_is_internal_exits_4(square_file, monkeypatch, capsys):
+    def explode(K, ring="Z"):
+        raise ValueError("cannot compose 2x3 with 4x5")
+
+    monkeypatch.setattr(cli, "betti_table", explode)
+    assert cli.main(["betti", square_file]) == 4
+    err = capsys.readouterr().err
+    assert "internal error" in err and "input error" not in err
+
+
+def test_undecodable_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 1, "facets": [], "note": "\xe9"}')
+    assert cli.main(["betti", str(path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_worker_pool_capped_at_cpu_count(monkeypatch, capsys):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for multiprocessing.Pool: records its size, starts nothing."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, payloads):
+            return [worker(payload) for payload in payloads]
+
+    assert cli.main(["scan", "-n", "3"]) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    # 19 complexes on 3 vertices and far more jobs than CPUs
+    assert cli.main(["scan", "-n", "3", "--jobs", "1000"]) == 0
+    assert capsys.readouterr().out == serial
+    assert sizes == [2]
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert cli._run_parallel(abs, [-1, -2, -3], 1000) == [1, 2, 3]
+    assert sizes == [2, 3]
+
+    # an unknown CPU count means one process: no pool at all
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._run_parallel(abs, [-1, -2, -3], 1000) == [1, 2, 3]
+    assert sizes == [2, 3]
+
+
 def test_resolvent_output(two_points_file, capsys):
     assert cli.main(["resolvent", two_points_file, "-p", "1", "-q", "2",
                      "--format", "json"]) == 0

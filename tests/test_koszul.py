@@ -6,6 +6,8 @@ from math import comb
 
 import pytest
 
+from momentangle import koszul
+from momentangle.errors import InvariantViolation
 from momentangle.koszul import (
     Bidegree,
     KoszulMonomial,
@@ -16,6 +18,7 @@ from momentangle.koszul import (
     koszul_cohomology,
     koszul_differential,
 )
+from momentangle.linalg import quotient_representatives
 from momentangle.simplicial import SimplicialComplex, enumerate_complexes
 
 
@@ -142,17 +145,54 @@ def test_square_cohomology():
     }
 
 
-def test_representatives_are_cocycles():
-    K = square()
-    H = koszul_cohomology(K, 1, 2)
-    basis = koszul_basis(K, 1, 2)
-    d_out = differential_matrix(K, 1, 2)
-    assert H.rank == 2
+def rp2_six():
+    return SimplicialComplex.from_facets(6, [
+        [1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
+        [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]])
+
+
+def pentagon():
+    return SimplicialComplex.from_facets(5, [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])
+
+
+@pytest.mark.parametrize("K, p, q, rank", [
+    (square(), 1, 2, 2),
+    (rp2_six(), 3, 5, 6),
+    (pentagon(), 2, 3, 5),
+], ids=["square", "rp2", "pentagon"])
+def test_representatives_are_cocycles(K, p, q, rank):
+    H = koszul_cohomology(K, p, q)
+    basis = koszul_basis(K, p, q)
+    d_out = differential_matrix(K, p, q)
+    d_in = differential_matrix(K, p + 1, q)
+    assert H.rank == rank and len(H.representatives) == rank
     for vec in H.representatives:
         element = {m: c for m, c in zip(basis, vec) if c}
         assert apply_differential(K, element) == {}
         for i in range(d_out.nrows):
             assert sum(d_out.entry(i, j) * vec[j] for j in range(len(vec))) == 0
+    # the classes stay independent modulo the coboundaries
+    image = [d_in.column(j) for j in range(d_in.ncols)]
+    assert len(quotient_representatives(list(H.representatives), image)) == rank
+
+
+def test_differential_leaving_its_block_is_caught(monkeypatch):
+    K = square()
+    real = koszul.koszul_differential
+    stray = KoszulMonomial((), (3, 4))  # support {3, 4}, in bidegree (0, 2)
+
+    def leaky(K, m):
+        out = real(K, m)
+        if m == KoszulMonomial((1,), (2,)):  # support {1, 2}
+            out[stray] = 1
+        return out
+
+    monkeypatch.setattr(koszul, "koszul_differential", leaky)
+    # the whole bidegree holds the stray term, so the full matrix takes it
+    assert differential_matrix(K, 1, 2).nnz() == 9
+    for want in (True, False):
+        with pytest.raises(InvariantViolation):
+            koszul_cohomology(K, 1, 2, want_representatives=want)
 
 
 def test_rational_ranks_match_integer():

@@ -104,6 +104,22 @@ def test_smith_transforms_are_exact():
         assert dense_mul(V, Vinv) == eye_n
 
 
+def test_smith_normal_form_matches_transform_path():
+    rng = random.Random(29)
+    non_unit = 0
+    for _ in range(80):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        M = random_matrix(rng, m, n, lo=-4, hi=4)
+        scale = rng.choice([1, 1, 2, 3, 6])
+        for row in M.rows:
+            for j in row:
+                row[j] *= scale
+        factors = smith_normal_form(M)
+        assert factors == smith_with_transforms(M)[0]
+        non_unit += any(f > 1 for f in factors)
+    assert non_unit >= 20
+
+
 def test_homology_torsion_only():
     # Z --2--> Z --> 0 gives Z/2
     d_in = IntMatrix.from_rows([[2]])
@@ -164,6 +180,7 @@ def integral_kernel_columns(rng, d_out):
 
 def test_homology_rational_matches_integer_rank():
     rng = random.Random(17)
+    torsion_seen = 0
     for _ in range(25):
         mid = rng.randint(1, 5)
         d_out = random_matrix(rng, rng.randint(0, 4), mid)
@@ -174,6 +191,11 @@ def test_homology_rational_matches_integer_rank():
         assert HQ.rank == HZ.rank
         assert HQ.torsion == ()
         assert len(HQ.representatives) == HQ.rank
+        # the transform-free integer path gives the same group
+        bare = homology_of_pair(d_in, d_out, ring="Z", want_representatives=False)
+        assert (bare.rank, bare.torsion, bare.representatives) == (HZ.rank, HZ.torsion, ())
+        torsion_seen += bool(HZ.torsion)
+    assert torsion_seen
 
 
 def test_representatives_are_independent_cycles():
