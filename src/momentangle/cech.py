@@ -30,7 +30,7 @@ def canonical_tuple(faces: tuple):
     entry.
     """
     order = sorted(range(len(faces)), key=lambda i: face_key(faces[i]))
-    arranged = tuple(faces[i] for i in order)
+    arranged = tuple([faces[i] for i in order])
     for a, b in zip(arranged, arranged[1:]):
         if a == b:
             return None, 0

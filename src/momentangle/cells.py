@@ -67,7 +67,7 @@ def cell_boundary(c: Cell) -> CellChain:
     for i in c.disks:
         circles = tuple(sorted(c.circles + (i,)))
         sign = 1 if circles.index(i) % 2 == 0 else -1
-        out[Cell(tuple(v for v in c.disks if v != i), circles)] = sign
+        out[Cell(tuple([v for v in c.disks if v != i]), circles)] = sign
     return out
 
 

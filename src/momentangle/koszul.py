@@ -192,9 +192,9 @@ def koszul_bigraded(K: SimplicialComplex, ring: str = "Z") -> dict:
     max_face = max(len(f) for f in K.faces)
     table = {}
     for q in range(0, K.n + 1):  # exterior and face parts are disjoint, so q <= n
+        # a face of size q - p leaves n - (q - p) >= p vertices for the
+        # exterior part, so every basis in this range is nonempty
         for p in range(max(0, q - max_face), q + 1):
-            if not koszul_basis(K, p, q):
-                continue
             H = koszul_cohomology(K, p, q, ring=ring, want_representatives=False)
             if H.rank or H.torsion:
                 table[(p, q)] = H

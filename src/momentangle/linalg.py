@@ -2,22 +2,24 @@
 
 Everything here works with arbitrary-precision Python ints and
 fractions.Fraction; no floating point is used anywhere.  Matrices are
-sparse row dicts because the chain-level matrices in this package are
-mostly zeros, while the Smith normal form runs on dense lists (the
-matrices that reach it are small).
+sparse row dicts, as the chain-level matrices in this package are mostly
+zeros.
 
-One Smith elimination serves two entry points: smith_normal_form returns
-the invariant factors alone, and smith_with_transforms also keeps the
-four change-of-basis matrices.  homology_of_pair pays for the transforms
-only when representatives are requested; over Z, ranks and torsion come
-from invariant factors alone.
+Over Q one sparse echelon of primitive integer rows does every
+elimination: rank, nullspace_rational, quotient_representatives and
+determinant_rational are thin entry points over it.  Over Z one dense
+Smith elimination serves smith_normal_form (the invariant factors alone)
+and smith_with_transforms (with the four change-of-basis matrices);
+homology_of_pair pays for the transforms only when integer
+representatives are requested.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import CompositionError, InvariantViolation
 
@@ -76,7 +78,7 @@ class IntMatrix:
         ]
 
     def column(self, j: int) -> tuple:
-        return tuple(self.rows[i].get(j, 0) for i in range(self.nrows))
+        return tuple([self.rows[i].get(j, 0) for i in range(self.nrows)])
 
     def transpose(self) -> "IntMatrix":
         T = IntMatrix(self.ncols, self.nrows)
@@ -115,45 +117,141 @@ class IntMatrix:
         return f"IntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
-def rank(M: IntMatrix) -> int:
-    """Rank over Q by sparse fraction-free elimination.
-
-    Rows stay integral throughout: each elimination step cross-multiplies
-    and then divides the row by its content, so entries cannot blow up the
-    way naive integer elimination would.
-    """
-    live = [dict(row) for row in M.rows if row]
-    r = 0
-    for j in range(M.ncols):
-        holders = [row for row in live if j in row]
-        if not holders:
+def _reduce(v: dict, rows: dict, cols) -> int:
+    """Clear v at the pivot columns `cols`, ascending, fraction-free and in
+    place: v becomes num * (v - a rational combination of the rows), and num
+    is returned.  No row has entries left of its pivot, so clearing one
+    column never refills an earlier one."""
+    num = 1
+    for c in cols:
+        a = v.get(c)
+        if not a:
             continue
-        pivot = min(holders, key=lambda row: (len(row), abs(row[j])))
-        pv = pivot[j]
-        for row in holders:
-            if row is pivot:
-                continue
-            rv = row.pop(j)
-            for k in list(row):
-                row[k] *= pv
-            for k, v in pivot.items():
-                if k == j:
-                    continue
-                w = row.get(k, 0) - rv * v
-                if w:
-                    row[k] = w
-                else:
-                    row.pop(k, None)
-            if row:
-                g = 0
-                for v in row.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    for k in row:
-                        row[k] //= g
-        live = [row for row in live if row and row is not pivot]
-        r += 1
-    return r
+        p = rows[c]
+        b = p[c]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if b != 1:
+            for k in v:
+                v[k] *= b
+            num *= b
+        for k, x in p.items():  # column c itself cancels here
+            y = v.get(k, 0) - a * x
+            if y:
+                v[k] = y
+            else:
+                del v[k]
+    return num
+
+
+class _Echelon:
+    """Row echelon form over Q, kept as primitive integer rows.
+
+    `rows` maps each pivot column to its row {column: int}, whose leftmost
+    entry is the pivot, in insertion order.  Every new row is reduced
+    against all pivots held, so no row has an entry at an earlier row's
+    pivot, and the pivot columns are those of the reduced row echelon form
+    of the rows inserted, in whatever order they came.
+    """
+
+    def __init__(self, rows=()):
+        self.rows: dict[int, dict[int, int]] = {}
+        self.cols: list[int] = []  # the pivot columns, ascending
+        for v in rows:
+            if v:
+                self.insert(v)
+
+    def insert(self, v: dict):
+        """Reduce the integer row v against the pivots and keep any remainder.
+
+        Returns the new pivot's entry in v minus a rational combination of
+        the rows held, before the remainder is divided by its content (an
+        int when no row was scaled, else a Fraction), or None when v lies
+        in their span.
+        """
+        v = dict(v)
+        num = _reduce(v, self.rows, self.cols)
+        if not v:
+            return None
+        c = min(v)
+        value = v[c] if num == 1 else Fraction(v[c], num)
+        g = gcd(*v.values())
+        self.rows[c] = v if g == 1 else {k: x // g for k, x in v.items()}
+        insort(self.cols, c)
+        return value
+
+
+def _integral(v) -> tuple:
+    """(row, s): s * v as a {index: int} row of its nonzero entries, where
+    s is the least common denominator of the ints or Fractions in v."""
+    s = 1
+    for x in v:
+        if x and x.denominator != 1:
+            s = lcm(s, x.denominator)
+    return {j: x.numerator * (s // x.denominator) for j, x in enumerate(v) if x}, s
+
+
+def rank(M: IntMatrix) -> int:
+    """Rank over Q: the number of rows of M the echelon keeps."""
+    return len(_Echelon(M.rows).cols)
+
+
+def nullspace_rational(M: IntMatrix) -> list:
+    """Basis of the rational kernel of M, as tuples of Fraction.
+
+    One vector per free column f of the reduced row echelon form: 1 at f,
+    0 at the other free columns and minus the reduced entry at column f of
+    each pivot row.
+    """
+    ech = _Echelon(M.rows)
+    rows, cols = ech.rows, ech.cols
+    # back-substitution: right to left, clear each row at the later pivots
+    for i in range(len(cols) - 2, -1, -1):
+        _reduce(rows[cols[i]], rows, cols[i + 1:])
+    n = M.ncols
+    kernel = {f: [Fraction(0)] * n for f in range(n) if f not in rows}
+    for f, vec in kernel.items():
+        vec[f] = Fraction(1)
+    for c, row in rows.items():
+        b = row[c]
+        for k, x in row.items():
+            if k != c:
+                kernel[k][c] = Fraction(-x, b)
+    return [tuple(vec) for vec in kernel.values()]
+
+
+def quotient_representatives(vectors: list, modulo: list) -> list:
+    """Subset of `vectors` inducing a basis of span(vectors)/span(modulo).
+
+    Both lists hold coordinate vectors of equal length (ints or Fractions).
+    A vector is kept verbatim unless the modulo vectors and the vectors
+    kept so far span it.
+    """
+    ech = _Echelon(_integral(w)[0] for w in modulo)
+    return [tuple(v) for v in vectors if ech.insert(_integral(v)[0]) is not None]
+
+
+def determinant_rational(rows: list) -> Fraction:
+    """Determinant of a square matrix of ints or Fractions, exactly.
+
+    Row i, cleared of denominators by s_i and reduced against the rows
+    before it, has its pivot at column pi(i) and zeros at pi(0..i-1), so
+    det = sign(pi) * prod(pivot_i / s_i); a dependent row makes it 0.
+    """
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square")
+    ech = _Echelon()
+    det = Fraction(1)
+    for row in rows:
+        v, s = _integral(row)
+        value = ech.insert(v)
+        if value is None:
+            return Fraction(0)
+        det = det * value / s
+    pi = list(ech.rows)
+    inversions = sum(pi[i] > pi[j] for i in range(n) for j in range(i + 1, n))
+    return -det if inversions % 2 else det
 
 
 def _identity_rows(n: int) -> list:
@@ -376,105 +474,11 @@ def homology_of_pair(d_in: IntMatrix, d_out: IntMatrix, ring: str = "Z",
 
     # kernel basis in middle coordinates: columns r_out.. of V1
     reps = [
-        tuple(sum(V1[i][r_out + l] * U2inv[l][col] for l in range(k))
-              for i in range(nmid))
+        tuple([sum(V1[i][r_out + l] * U2inv[l][col] for l in range(k))
+               for i in range(nmid)])
         for col in range(m, k)
     ]
     return HomologyResult(free_rank, torsion, tuple(reps))
-
-
-def nullspace_rational(M: IntMatrix) -> list:
-    """Basis of the rational kernel of M, as tuples of Fraction."""
-    rows = [[Fraction(v) for v in row] for row in M.to_rows()]
-    n = M.ncols
-    pivots: dict[int, int] = {}  # column -> row index in echelon form
-    rank_so_far = 0
-    for j in range(n):
-        pivot_row = None
-        for i in range(rank_so_far, len(rows)):
-            if rows[i][j]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[rank_so_far], rows[pivot_row] = rows[pivot_row], rows[rank_so_far]
-        pr = rows[rank_so_far]
-        inv = 1 / pr[j]
-        rows[rank_so_far] = pr = [v * inv for v in pr]
-        for i in range(len(rows)):
-            if i != rank_so_far and rows[i][j]:
-                c = rows[i][j]
-                rows[i] = [a - c * b for a, b in zip(rows[i], pr)]
-        pivots[j] = rank_so_far
-        rank_so_far += 1
-    basis = []
-    free_cols = [j for j in range(n) if j not in pivots]
-    for f in free_cols:
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for j, i in pivots.items():
-            vec[j] = -rows[i][f]
-        basis.append(tuple(vec))
-    return basis
-
-
-def quotient_representatives(vectors: list, modulo: list) -> list:
-    """Subset of `vectors` inducing a basis of span(vectors)/span(modulo).
-
-    Both lists contain coordinate vectors of equal length (ints or
-    Fractions).  Streaming: the modulo span is built first, then each
-    vector is reduced against the running span and kept verbatim when a
-    nonzero remainder survives.
-    """
-    span: list = []  # (pivot index, reduced vector with pivot 1)
-
-    def reduce(v):
-        v = [Fraction(x) for x in v]
-        for piv, row in span:
-            c = v[piv]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
-
-    def insert(v):
-        for piv in range(len(v)):
-            if v[piv]:
-                inv = 1 / v[piv]
-                span.append((piv, [x * inv for x in v]))
-                return True
-        return False
-
-    for w in modulo:
-        insert(reduce(w))
-    reps = []
-    for v in vectors:
-        r = reduce(v)
-        if insert(r):
-            reps.append(tuple(v))
-    return reps
-
-
-def determinant_rational(rows: list) -> Fraction:
-    """Determinant of a square matrix of ints or Fractions, exactly."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    A = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for j in range(n):
-        pivot = next((i for i in range(j, n) if A[i][j]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != j:
-            A[j], A[pivot] = A[pivot], A[j]
-            det = -det
-        det *= A[j][j]
-        inv = 1 / A[j][j]
-        for i in range(j + 1, n):
-            if A[i][j]:
-                c = A[i][j] * inv
-                A[i] = [a - c * b for a, b in zip(A[i], A[j])]
-    return det
 
 
 def _factorize(value: int) -> list:

@@ -162,7 +162,7 @@ def full_subcomplex(K: SimplicialComplex, J: Face) -> SimplicialComplex:
     relabel = {v: i + 1 for i, v in enumerate(J)}
     members = set(J)
     faces = {
-        tuple(relabel[v] for v in f)
+        tuple([relabel[v] for v in f])
         for f in K.faces
         if set(f) <= members
     }

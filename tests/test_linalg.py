@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -9,6 +10,7 @@ from momentangle.errors import CompositionError
 from momentangle.linalg import (
     HomologyResult,
     IntMatrix,
+    determinant_rational,
     homology_of_pair,
     invariant_factor_chain,
     nullspace_rational,
@@ -222,10 +224,87 @@ def test_representatives_are_independent_cycles():
 def test_nullspace_rational():
     M = IntMatrix.from_rows([[1, 2, 3]])
     basis = nullspace_rational(M)
-    assert len(basis) == 2
+    assert basis == [(-2, 1, 0), (-3, 0, 1)]
     for v in basis:
         assert v[0] + 2 * v[1] + 3 * v[2] == 0
     assert nullspace_rational(IntMatrix.from_rows([[1, 0], [0, 1]])) == []
+    # a zero column and a dependent row
+    assert nullspace_rational(IntMatrix.from_rows([[1, 0, 2], [2, 0, 4]])) == [
+        (0, 1, 0), (-2, 0, 1)]
+    # rows out of pivot order give the reduced row echelon basis all the same
+    assert nullspace_rational(IntMatrix.from_rows([[0, 1, 1], [1, 1, 0]])) == [(1, -1, 1)]
+    assert nullspace_rational(IntMatrix.from_rows([[2, 3]])) == [(Fraction(-3, 2), 1)]
+    assert nullspace_rational(IntMatrix(2, 3)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert nullspace_rational(IntMatrix(0, 0)) == []
+    for rows in ([[1, 2, 3]], [[1, 0, 2], [2, 0, 4]], [[2, 3]]):
+        for v in nullspace_rational(IntMatrix.from_rows(rows)):
+            assert all(type(x) is Fraction for x in v)
+
+
+def determinant_by_permutations(A):
+    n = len(A)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term *= A[i][perm[i]]
+        total += term
+    return total
+
+
+def test_echelon_entry_points_random():
+    rng = random.Random(31)
+    singular = nonsingular = kept = dropped = 0
+    for _ in range(300):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        M = random_matrix(rng, m, n, density=rng.choice([0.2, 0.4, 0.7]))
+        dense = M.to_rows()
+        r = rank(M)
+        kernel = nullspace_rational(M)
+        assert len(kernel) == n - r
+        for v in kernel:
+            assert all(sum(row[j] * v[j] for j in range(n)) == 0 for row in dense)
+        # free columns of the reduced row echelon form: those that do not
+        # raise the rank of the columns to their left
+        free = [f for f in range(n)
+                if rank(IntMatrix.from_columns(m, [M.column(j) for j in range(f + 1)]))
+                == rank(IntMatrix.from_columns(m, [M.column(j) for j in range(f)]))]
+        assert len(free) == len(kernel)
+        for f, v in zip(free, kernel):
+            assert [v[g] for g in free] == [1 if g == f else 0 for g in free]
+
+        k = rng.randint(0, 4)
+        A = random_matrix(rng, k, k, density=rng.choice([0.4, 0.8])).to_rows()
+        if k > 1 and rng.random() < 0.3:
+            A[rng.randrange(k)] = [2 * x for x in A[rng.randrange(k)]]
+        if rng.random() < 0.5:
+            A = [[Fraction(x, rng.randint(1, 4)) for x in row] for row in A]
+        det = determinant_rational(A)
+        assert det == determinant_by_permutations(A)
+        singular += det == 0
+        nonsingular += det != 0
+
+        modulo = [M.column(j) for j in range(n) if rng.random() < 0.5]
+        vectors = [tuple(rng.randint(-1, 1) * x for x in M.column(rng.randrange(n)))
+                   if n and rng.random() < 0.5 else
+                   tuple(rng.randint(-2, 2) for _ in range(m))
+                   for _ in range(rng.randint(0, 5))]
+        vectors = [tuple(Fraction(x, 3) for x in v) if rng.random() < 0.3 else v
+                   for v in vectors]
+        reps = quotient_representatives(vectors, modulo)
+        span = list(modulo)  # the vectors below are scaled by 3 to clear thirds
+        expected = []
+        for v in vectors:
+            before = rank(IntMatrix.from_rows(span)) if span else 0
+            span.append(tuple(int(3 * x) for x in v))
+            if rank(IntMatrix.from_rows(span)) > before:
+                expected.append(v)
+        assert reps == expected
+        kept += len(reps)
+        dropped += len(vectors) - len(reps)
+    assert singular >= 30 and nonsingular >= 30
+    assert kept >= 30 and dropped >= 30
 
 
 def test_quotient_representatives_streaming():

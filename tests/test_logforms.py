@@ -224,3 +224,35 @@ def test_period_matrix_square_boundary():
     top = period_matrix(K, 2, 4)
     assert len(top[0]) == len(top[1]) == 1
     assert top[2][0][0] != 0
+
+
+# exact period matrices of the points-and-an-edge complex on 5 vertices, a
+# sample of the (n = 5, 6 faces) periods stratum; a change in the cocycle
+# basis that keeps the matrices nonsingular still changes these entries
+POINTS_AND_EDGE_PERIODS = {
+    (3, 4): [
+        [1, -1, 0, 0, 0, 0, 0, 0],
+        [0, 0, 0, -1, 1, 0, 0, 0],
+        [0, 0, 0, 0, 0, -1, 1, 0],
+        [0, 0, 0, 0, 0, 0, 0, 1],
+        [0, 0, 1, 0, 0, 0, 0, 0],
+        [0, 0, 0, 1, 0, 0, 0, 0],
+        [0, 0, 0, 0, 0, 1, 0, 0],
+        [1, 0, 0, 0, 0, 0, 0, 0],
+    ],
+    (1, 2): [
+        [0, 0, 0, -1, 0],
+        [0, 0, 1, 0, 0],
+        [1, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0],
+        [0, 0, 0, 0, 1],
+    ],
+}
+
+
+@pytest.mark.parametrize("p, q", sorted(POINTS_AND_EDGE_PERIODS))
+def test_period_matrix_pinned(p, q):
+    K = SimplicialComplex.from_facets(5, [[1], [4], [2, 5]])
+    _, _, M = period_matrix(K, p, q)
+    assert M == POINTS_AND_EDGE_PERIODS[(p, q)]
+    assert all(type(x) is Fraction for row in M for x in row)
