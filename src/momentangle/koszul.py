@@ -10,6 +10,13 @@ of size p and face of size q - p sits in bidegree (-p, 2q); this module
 keys everything by the pair (p, q) of nonnegative integers and the chain
 convention is that the differential lowers p by one while fixing q.
 
+A KoszulMonomial is a tuple pair (exterior, face), so it hashes and
+compares like one and equals the plain pair (I, J).  Its public
+constructor rejects overlapping index sets; koszul_basis and
+koszul_differential build theirs without that check, since a basis
+exterior part avoids its face and a differential term only moves an index
+from one side to the other.
+
 The differential also fixes the support, the union of the two index
 sets: this is the Z^n-multigrading of the algebra.  Cohomology is
 therefore computed one support block at a time, each block with its own
@@ -22,7 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
+from operator import itemgetter
 
 from .errors import InvariantViolation
 from .linalg import HomologyResult, IntMatrix, homology_of_pair, invariant_factor_chain
@@ -42,20 +51,36 @@ class Bidegree:
         return 2 * self.q - self.p
 
 
-@dataclass(frozen=True)
-class KoszulMonomial:
-    """Product of odd generators over `exterior` and even ones over `face`."""
+class KoszulMonomial(tuple):
+    """Product of odd generators over `exterior` and even ones over `face`.
 
-    exterior: tuple
-    face: tuple
+    A tuple pair (exterior, face): it equals the plain pair with the same
+    entries and hashes like it.
+    """
 
-    def __post_init__(self):
-        if set(self.exterior) & set(self.face):
-            raise ValueError(f"index sets overlap: {self.exterior} and {self.face}")
+    __slots__ = ()
+
+    def __new__(cls, exterior: tuple, face: tuple):
+        if set(exterior) & set(face):
+            raise ValueError(f"index sets overlap: {exterior} and {face}")
+        return tuple.__new__(cls, (exterior, face))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    exterior = property(itemgetter(0))
+    face = property(itemgetter(1))
 
     def bidegree(self) -> Bidegree:
-        p = len(self.exterior)
-        return Bidegree(p, p + len(self.face))
+        p = len(self[0])
+        return Bidegree(p, p + len(self[1]))
+
+    def __repr__(self):
+        return f"KoszulMonomial(exterior={self[0]!r}, face={self[1]!r})"
+
+
+# builds a monomial from a pair (I, J) known to be disjoint, skipping the check
+_monomial = partial(tuple.__new__, KoszulMonomial)
 
 
 # a cochain is a finite integer combination of monomials
@@ -78,8 +103,8 @@ def koszul_basis(K: SimplicialComplex, p: int, q: int) -> tuple:
     # all exterior parts have size p and all faces size q - p, so plain
     # tuple order is the graded lexicographic order of face_key
     pairs.sort()
-    basis = [KoszulMonomial(I, J) for I, J in pairs]
-    return tuple(basis)
+    # J is not in rest, so no exterior part meets its face
+    return tuple([_monomial(pair) for pair in pairs])
 
 
 def koszul_differential(K: SimplicialComplex, m: KoszulMonomial) -> KoszulElement:
@@ -89,12 +114,14 @@ def koszul_differential(K: SimplicialComplex, m: KoszulMonomial) -> KoszulElemen
     whose new even support is not a face of K are relations and vanish.
     """
     out: KoszulElement = {}
-    I, J = m.exterior, m.face
+    I, J = m
+    faces = K.faces
     for k, i in enumerate(I, start=1):
         new_face = tuple(sorted(J + (i,)))
-        if not K.has_face(new_face):
+        if new_face not in faces:
             continue
-        term = KoszulMonomial(I[:k - 1] + I[k:], new_face)
+        # i moves from I to J, so the two parts stay disjoint
+        term = _monomial((I[:k - 1] + I[k:], new_face))
         sign = 1 if k % 2 else -1
         out[term] = out.get(term, 0) + sign
         if not out[term]:
@@ -148,7 +175,7 @@ def _support_blocks(basis: tuple) -> dict:
     """
     blocks: dict = {}
     for i, m in enumerate(basis):
-        blocks.setdefault(tuple(sorted(m.exterior + m.face)), []).append((i, m))
+        blocks.setdefault(tuple(sorted(m[0] + m[1])), []).append((i, m))
     return blocks
 
 

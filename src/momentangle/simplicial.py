@@ -5,6 +5,10 @@ the empty tuple.  A complex stores every face explicitly (the families at
 play here are tiny), is immutable after construction, and may have ghost
 vertices: elements of {1, ..., n} that appear in no face but still index a
 coordinate.
+
+The constructor validates its faces (sorted, in range, downward closed).
+A restriction K_J of a valid complex is valid too, so full_subcomplex fills
+its result directly, without re-validating.
 """
 
 from __future__ import annotations
@@ -59,9 +63,13 @@ class SimplicialComplex:
             for g in combinations(f, len(f) - 1):
                 if g not in face_set:
                     raise ParseError(f"family is not downward closed: {g} missing under {f}")
+        self._fill(n, sorted(face_set, key=face_key))
+
+    def _fill(self, n: int, faces_sorted: list) -> None:
+        """Set every field from a valid family listed in graded lexicographic order."""
         self.n = n
-        self.faces = face_set
-        self._sorted = tuple(sorted(face_set, key=face_key))
+        self._sorted = tuple(faces_sorted)
+        self.faces = frozenset(self._sorted)
         by_size: dict = {}
         for f in self._sorted:
             by_size.setdefault(len(f), []).append(f)
@@ -154,19 +162,24 @@ def parse_complex(text: str) -> SimplicialComplex:
 def full_subcomplex(K: SimplicialComplex, J: Face) -> SimplicialComplex:
     """Restriction of K to the vertex subset J, re-indexed on 1..|J|.
 
-    The result contains exactly the faces of K contained in J.
+    The result contains exactly the faces of K contained in J.  The
+    relabelling is increasing, so it keeps graded lexicographic order, and
+    a restriction of a valid complex is valid: the result is filled
+    directly, without the constructor's checks.
     """
     J = make_face(J)
     if J and (J[0] < 1 or J[-1] > K.n):
         raise ParseError(f"subset {J} not contained in 1..{K.n}")
     relabel = {v: i + 1 for i, v in enumerate(J)}
     members = set(J)
-    faces = {
+    faces = [
         tuple([relabel[v] for v in f])
-        for f in K.faces
-        if set(f) <= members
-    }
-    return SimplicialComplex(len(J), faces)
+        for f in K.faces_sorted()
+        if members.issuperset(f)
+    ]
+    L = SimplicialComplex.__new__(SimplicialComplex)
+    L._fill(len(J), faces)
+    return L
 
 
 def enumerate_complexes(n: int) -> Iterator[SimplicialComplex]:

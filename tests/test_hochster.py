@@ -1,5 +1,7 @@
 """Tests for the vertex-restriction oracle engine."""
 
+import pytest
+
 from momentangle.hochster import (
     coboundary_matrix,
     hochster_bigraded,
@@ -96,6 +98,18 @@ def test_engines_agree_on_all_three_vertex_complexes():
         a = {k: (v.rank, v.torsion) for k, v in koszul_bigraded(K).items()}
         b = {k: (v.rank, v.torsion) for k, v in hochster_bigraded(K).items()}
         assert a == b, f"engines disagree on {K!r}"
+
+
+@pytest.mark.slow
+def test_engines_agree_on_all_five_vertex_complexes():
+    # minutes long, so left out of default runs: python -m pytest -m slow
+    count = 0
+    for K in enumerate_complexes(5):
+        count += 1
+        a = {k: (v.rank, v.torsion) for k, v in koszul_bigraded(K).items()}
+        b = {k: (v.rank, v.torsion) for k, v in hochster_bigraded(K).items()}
+        assert a == b, f"engines disagree on {K!r}"
+    assert count == 7580
 
 
 def test_engines_agree_on_projective_plane_bidegree():

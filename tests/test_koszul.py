@@ -1,5 +1,7 @@
 """Tests for the cochain algebra engine."""
 
+import copy
+import pickle
 import random
 from itertools import combinations
 from math import comb
@@ -39,6 +41,63 @@ def test_bidegree_total():
 def test_monomial_rejects_overlap():
     with pytest.raises(ValueError):
         KoszulMonomial((1,), (1, 2))
+    with pytest.raises(ValueError):
+        KoszulMonomial((1, 3), (3,))
+
+
+def test_monomial_is_a_tuple_pair():
+    m = KoszulMonomial((1,), (2,))
+    assert (m.exterior, m.face) == ((1,), (2,))
+    assert repr(m) == "KoszulMonomial(exterior=(1,), face=(2,))"
+    # documented: a monomial equals, and hashes like, the plain pair (I, J)
+    assert m == ((1,), (2,)) and hash(m) == hash(((1,), (2,)))
+    assert m.bidegree() == Bidegree(1, 2)
+    assert KoszulMonomial((), ()).bidegree() == Bidegree(0, 0)
+
+
+def test_monomial_pickle_and_deepcopy_round_trip():
+    for m in (KoszulMonomial((1, 3), (2,)), KoszulMonomial((), ())):
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(m, proto))
+            assert type(back) is KoszulMonomial and back == m
+            assert (back.exterior, back.face) == (m.exterior, m.face)
+        dup = copy.deepcopy(m)
+        assert type(dup) is KoszulMonomial and dup == m and repr(dup) == repr(m)
+        assert type(copy.copy(m)) is KoszulMonomial
+
+
+def test_basis_and_differential_build_monomials():
+    K = square()
+    for p in range(0, 4):
+        for q in range(p, 5):
+            for m in koszul_basis(K, p, q):
+                assert type(m) is KoszulMonomial
+                assert m.bidegree() == Bidegree(p, q)
+                assert (len(m.exterior), len(m.face)) == (p, q - p)
+                for term in koszul_differential(K, m):
+                    assert type(term) is KoszulMonomial
+                    assert term.bidegree() == Bidegree(p - 1, q)
+    m = KoszulMonomial((1, 3), (2,))
+    assert koszul_differential(K, m) == {
+        KoszulMonomial((3,), (1, 2)): 1,
+        KoszulMonomial((1,), (2, 3)): -1,
+    }
+
+
+def test_unchecked_monomials_stay_disjoint():
+    # koszul_basis and koszul_differential skip the constructor's overlap
+    # check; every monomial they build must still satisfy it, with a face
+    # part that is a face of K
+    for n in range(1, 5):
+        for K in enumerate_complexes(n):
+            for q in range(n + 1):
+                for p in range(q + 1):
+                    for m in koszul_basis(K, p, q):
+                        assert not set(m.exterior) & set(m.face), (K, m)
+                        assert K.has_face(m.face), (K, m)
+                        for term in koszul_differential(K, m):
+                            assert not set(term.exterior) & set(term.face), (K, m, term)
+                            assert K.has_face(term.face), (K, m, term)
 
 
 def test_basis_ordering_two_points():

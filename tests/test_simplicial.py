@@ -1,5 +1,7 @@
 """Tests for simplicial complex construction, parsing, and enumeration."""
 
+from itertools import combinations
+
 import pytest
 
 from momentangle.errors import ParseError
@@ -120,6 +122,24 @@ def test_full_subcomplex_empty_subset():
     L = full_subcomplex(K, ())
     assert L.n == 0
     assert L.faces == {()}
+
+
+def test_full_subcomplex_matches_validating_constructor():
+    # full_subcomplex skips the constructor's checks and its sort, so every
+    # restriction must equal what the validating constructor builds, in the
+    # same graded lexicographic order
+    for K in enumerate_complexes(4):
+        for size in range(K.n + 1):
+            for J in combinations(range(1, K.n + 1), size):
+                L = full_subcomplex(K, J)
+                relabel = {v: i + 1 for i, v in enumerate(J)}
+                want = SimplicialComplex(size, [
+                    tuple(relabel[v] for v in f) for f in K.faces if set(f) <= set(J)])
+                assert L == want and L.n == size and hash(L) == hash(want)
+                assert L.faces_sorted() == want.faces_sorted()
+                for k in range(size + 2):
+                    assert L.faces_of_size(k) == want.faces_of_size(k), (K, J, k)
+                assert L.facets() == want.facets()
 
 
 def test_enumeration_counts():
