@@ -25,7 +25,7 @@ from momentangle import (
 
 plane = SimplicialComplex.from_facets(2, [[1], [2]])
 
-cycles, cocycles, matrix = period_matrix(plane, 1, 2)
+resolvents, cocycles, matrix = period_matrix(plane, 1, 2)
 print("plane minus origin, bidegree (1, 2):")
 print(f"  period matrix {matrix} x (2 pi i)^2, determinant "
       f"{determinant_rational(matrix)}")
@@ -58,7 +58,7 @@ print("  cross-bidegree pairing: 0")
 # A two-generator example: the square boundary at bidegree (1, 2) has a
 # 2 x 2 unimodular period matrix.
 square = SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
-cycles, cocycles, matrix = period_matrix(square, 1, 2)
+resolvents, cocycles, matrix = period_matrix(square, 1, 2)
 print("square boundary, bidegree (1, 2):")
 print(f"  period matrix {matrix}, determinant {determinant_rational(matrix)}")
 assert determinant_rational(matrix) != 0

@@ -33,8 +33,8 @@ from .linalg import determinant_rational
 from .logforms import (
     LogCochain,
     block_tuples,
-    log_cohomology_basis,
     log_cohomology_dim,
+    period_matrix,
     period_of_cycle,
 )
 from .report import (
@@ -205,24 +205,19 @@ def _verify_periods(K: SimplicialComplex, t_max: int, where: str) -> list:
     bt = betti_table(K)
     nonzero = [(p, q) for (p, q) in bt.bidegrees()
                if bt.rank(p, q) > 0 and q - p <= t_max]
-    resolvents = {}
-    bases = {}
-    for (p, q) in nonzero:
-        cycles = homology_cycle_basis(K, p, q)
-        resolvents[(p, q)] = [build_resolvent(K, c, p=p, q=q) for c in cycles]
-        bases[(p, q)] = log_cohomology_basis(K, q, q - p)
+    resolvents, bases, matrices = {}, {}, {}
+    for pq in nonzero:
+        resolvents[pq], bases[pq], matrices[pq] = period_matrix(K, *pq)
 
     for (p, q) in nonzero:
         rank = bt.rank(p, q)
-        matrix = [[period_of_cycle(w, res).coefficient for w in bases[(p, q)]]
-                  for res in resolvents[(p, q)]]
         if len(resolvents[(p, q)]) != rank or len(bases[(p, q)]) != rank:
             mismatches.append(
                 f"bidegree ({p}, {q}) of {where}: period matrix is "
                 f"{len(resolvents[(p, q)])}x{len(bases[(p, q)])}, expected "
                 f"square of size {rank}")
             continue
-        if rank and determinant_rational(matrix) == 0:
+        if rank and determinant_rational(matrices[(p, q)]) == 0:
             mismatches.append(
                 f"bidegree ({p}, {q}) of {where}: period matrix is singular")
 
@@ -231,7 +226,6 @@ def _verify_periods(K: SimplicialComplex, t_max: int, where: str) -> list:
             if other == src:
                 continue
             p, q = src
-            r, t = other[1], other[1] - other[0]
             for res in resolvents[src]:
                 for w in bases[other]:
                     value = period_of_cycle(w, res)
@@ -331,13 +325,11 @@ def cmd_resolvent(args) -> int:
 
 
 def cmd_periods(args) -> int:
-    from .logforms import period_matrix
-
     K = _load_complex(args.input)
     p, q = args.p, args.q
     if not (0 <= p <= q <= K.n):
         raise ParseError(f"bidegree ({p}, {q}) outside 0 <= p <= q <= {K.n}")
-    cycles, cocycles, matrix = period_matrix(K, p, q)
+    _, _, matrix = period_matrix(K, p, q)
 
     if args.format == "json":
         payload = {"p": p, "q": q, "power": q,

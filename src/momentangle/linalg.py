@@ -11,7 +11,9 @@ determinant_rational are thin entry points over it.  Over Z one dense
 Smith elimination serves smith_normal_form (the invariant factors alone)
 and smith_with_transforms (with the four change-of-basis matrices);
 homology_of_pair pays for the transforms only when integer
-representatives are requested.
+representatives are requested.  invariant_factor_chain merges torsion
+orders into their divisibility chain by pairwise gcd and lcm, so no
+integer is ever factored.
 """
 
 from __future__ import annotations
@@ -481,44 +483,25 @@ def homology_of_pair(d_in: IntMatrix, d_out: IntMatrix, ring: str = "Z",
     return HomologyResult(free_rank, torsion, tuple(reps))
 
 
-def _factorize(value: int) -> list:
-    out = []
-    v = value
-    p = 2
-    while p * p <= v:
-        if v % p == 0:
-            e = 0
-            while v % p == 0:
-                v //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if v > 1:
-        out.append((v, 1))
-    return out
-
-
 def invariant_factor_chain(factors) -> tuple:
     """Canonical invariant factors of a direct sum of cyclic groups.
 
     Input: any iterable of integers > 1 (orders of cyclic summands, in any
     order and not necessarily prime powers).  Output: the divisibility
-    chain d_1 | d_2 | ... | d_k describing the same group.
+    chain d_1 | d_2 | ... | d_k describing the same group.  Each factor
+    enters the chain from the top by Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b);
+    the gcd carried down past the bottom is a new d_1 unless it is 1.
     """
-    exps: dict[int, list] = {}
+    chain = []
     for f in factors:
         if f <= 1:
             raise ValueError(f"cyclic group order must exceed 1, got {f}")
-        for p, e in _factorize(f):
-            exps.setdefault(p, []).append(e)
-    depth = max((len(v) for v in exps.values()), default=0)
-    chain = []
-    for i in range(depth):  # i = 0 collects the largest power of every prime
-        d = 1
-        for p, v in exps.items():
-            ordered = sorted(v, reverse=True)
-            if i < len(ordered):
-                d *= p ** ordered[i]
-        chain.append(d)
-    chain.reverse()
+        for i in range(len(chain) - 1, -1, -1):
+            if f == 1:
+                break
+            g = gcd(chain[i], f)
+            chain[i] = chain[i] // g * f
+            f = g
+        if f > 1:
+            chain.insert(0, f)
     return tuple(chain)

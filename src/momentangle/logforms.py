@@ -9,11 +9,14 @@ the differential is the usual alternating sum over face deletions (values
 at tuples that violate admissibility read as zero), and the form indices
 never mix, so the complex splits into one block per index set.  Block
 cohomology is computed honestly from the block matrices; no shortcut
-through the nerve of the cover is taken anywhere.
+through the nerve of the cover is taken anywhere.  Within one call, each
+index set's block is built once, from its tuples at cover degrees t - 1,
+t and t + 1: the incoming and outgoing differentials share the middle.
 
-Pairing a cochain against a resolvent integrates each tuple's form over
-the matching chain entry; the only nonzero primitive integral is a full
-torus against its own index set, contributing (2 pi i) per index.
+A period pairs one cocycle with the resolvent level of its own cover
+degree, integrating each tuple's form over the matching chain entry; the
+only nonzero primitive integral is a full torus against its own index
+set, contributing (2 pi i) per index.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .cech import Resolvent, canonical_tuple
-from .cells import Cell
+from .cech import Resolvent, build_resolvent, canonical_tuple
+from .cells import Cell, homology_cycle_basis
 from .linalg import (
     IntMatrix,
     nullspace_rational,
@@ -139,23 +142,39 @@ def block_tuples(K: SimplicialComplex, I: tuple, t: int) -> list:
     return out
 
 
-def block_matrix(K: SimplicialComplex, I: tuple, t: int) -> IntMatrix:
-    """Differential of the I-block from cover degree t to t + 1.
+def _coboundary(source: list, target: list) -> IntMatrix:
+    """Face-deletion matrix from the source tuples to the target tuples.
 
     Deleting a face may enlarge the intersection past admissibility; such
     deletions read as zero, which is exactly a missing row index here.
     """
-    source = block_tuples(K, I, t)
-    target = block_tuples(K, I, t + 1)
     index = {T: j for j, T in enumerate(source)}
     M = IntMatrix(len(target), len(source))
     for i, T in enumerate(target):
         for j in range(len(T)):
-            S = T[:j] + T[j + 1:]
-            col = index.get(S)
+            col = index.get(T[:j] + T[j + 1:])
             if col is not None:
                 M.add(i, col, -1 if j % 2 else 1)
     return M
+
+
+def block_matrix(K: SimplicialComplex, I: tuple, t: int) -> IntMatrix:
+    """Differential of the I-block from cover degree t to t + 1."""
+    return _coboundary(block_tuples(K, I, t), block_tuples(K, I, t + 1))
+
+
+def _blocks(K: SimplicialComplex, r: int, t: int):
+    """(I, tuples, d_in, d_out) for each r-set I with a nonempty degree-t block.
+
+    Each block is built once, from its tuples at levels t - 1, t and t + 1;
+    at t = 0 the incoming differential has no columns.
+    """
+    for I in combinations(range(1, K.n + 1), r):
+        tuples = block_tuples(K, I, t)
+        if tuples:
+            yield (I, tuples,
+                   _coboundary(block_tuples(K, I, t - 1), tuples),
+                   _coboundary(tuples, block_tuples(K, I, t + 1)))
 
 
 def log_cohomology_dim(K: SimplicialComplex, r: int, t: int) -> int:
@@ -163,17 +182,8 @@ def log_cohomology_dim(K: SimplicialComplex, r: int, t: int) -> int:
 
     Sums the honest block computations over every r-element index set.
     """
-    total = 0
-    for I in combinations(range(1, K.n + 1), r):
-        source = block_tuples(K, I, t)
-        if not source:
-            continue
-        d_out = block_matrix(K, I, t)
-        kernel_dim = len(source) - rank(d_out)
-        if t > 0:
-            kernel_dim -= rank(block_matrix(K, I, t - 1))
-        total += kernel_dim
-    return total
+    return sum(len(tuples) - rank(d_out) - rank(d_in)
+               for _, tuples, d_in, d_out in _blocks(K, r, t))
 
 
 def log_cohomology_basis(K: SimplicialComplex, r: int, t: int) -> list:
@@ -183,20 +193,11 @@ def log_cohomology_basis(K: SimplicialComplex, r: int, t: int) -> list:
     complex splits), with exact rational coefficients.
     """
     basis = []
-    for I in combinations(range(1, K.n + 1), r):
-        source = block_tuples(K, I, t)
-        if not source:
-            continue
-        d_out = block_matrix(K, I, t)
-        kernel = nullspace_rational(d_out)
-        if t > 0:
-            d_in = block_matrix(K, I, t - 1)
-            image = [d_in.column(j) for j in range(d_in.ncols)]
-        else:
-            image = []
-        for vec in quotient_representatives(kernel, image):
+    for I, tuples, d_in, d_out in _blocks(K, r, t):
+        image = [d_in.column(j) for j in range(d_in.ncols)]
+        for vec in quotient_representatives(nullspace_rational(d_out), image):
             w = LogCochain(K, r, t)
-            for T, c in zip(source, vec):
+            for T, c in zip(tuples, vec):
                 if c:
                     w.add(T, I, c)
             basis.append(w)
@@ -227,35 +228,18 @@ def integrate_cell(I: tuple, cell: Cell) -> Period:
     return Period(Fraction(0), len(I))
 
 
-def period_of_cycle(pieces, res: Resolvent) -> Period:
-    """Integral of a cocycle (one or more cover-degree pieces) over a cycle.
+def period_of_cycle(w: LogCochain, res: Resolvent) -> Period:
+    """Integral of a cocycle over the cycle of a resolvent.
 
-    Each piece pairs with the resolvent level of its own cover degree,
+    The cocycle pairs with the resolvent level of its own cover degree,
     summing over canonical tuples shared by both; the alternation of the
-    two sides makes the canonical-tuple sum the whole pairing.  Pieces at
-    absent levels contribute nothing.  The result's power is the common
-    form degree of the pieces.  Two pieces at the same cover degree, or
-    pieces carrying different form degrees, are an inconsistent input and
-    raise ValueError.
+    two sides makes the canonical-tuple sum the whole pairing.  A cover
+    degree past the resolvent's top level pairs to zero.  The result
+    carries the power w.r of (2 pi i).
     """
-    if isinstance(pieces, LogCochain):
-        pieces = [pieces]
-    by_level: dict = {}
-    degrees = set()
-    for w in pieces:
-        if w.t in by_level:
-            raise ValueError(f"two cocycle pieces share cover degree {w.t}")
-        by_level[w.t] = w
-        degrees.add(w.r)
-    if len(degrees) > 1:
-        raise ValueError(
-            f"degree mismatch: cocycle pieces carry form degrees {sorted(degrees)}")
-    power = degrees.pop() if degrees else res.q
     total = Fraction(0)
-    for t, w in sorted(by_level.items()):
-        if t >= len(res.levels):
-            continue
-        level = res.levels[t]
+    if w.t < len(res.levels):
+        level = res.levels[w.t]
         for T, forms in w.entries.items():
             chain = level.entries.get(T)
             if not chain:
@@ -265,32 +249,23 @@ def period_of_cycle(pieces, res: Resolvent) -> Period:
                     piece = integrate_cell(I, cell)
                     if piece.coefficient:
                         total += Fraction(a) * c * piece.coefficient
-    return Period(total, power)
+    return Period(total, w.r)
 
 
-def period_matrix(K: SimplicialComplex, p: int, q: int,
-                  r: int = None, t: int = None):
+def period_matrix(K: SimplicialComplex, p: int, q: int):
     """Pairing matrix between homology cycles and log cohomology classes.
 
-    Returns (cycles, cocycles, matrix) where matrix[i][j] is the
-    coefficient of the period of cocycle j over cycle i; every nonzero
-    period here carries the power r of (2 pi i).  By default the cocycles
-    come from the matching bidegree, r = q and cover degree t = q - p;
-    passing another (r, t) pairs the same cycles against classes from a
-    different bidegree, which must integrate to an all-zero matrix.
+    Returns (resolvents, cocycles, matrix): one resolvent per basis cycle
+    of homological position (p, q), carrying that cycle as .cycle, the
+    cohomology basis at form degree q and cover degree q - p, and
+    matrix[i][j], the coefficient of the period of cocycle j over cycle i.
+    Every nonzero period here carries the power q of (2 pi i).
     """
-    from .cells import homology_cycle_basis
-    from .cech import build_resolvent
-
-    if r is None:
-        r = q
-    if t is None:
-        t = q - p
-    cycles = homology_cycle_basis(K, p, q)
-    cocycles = log_cohomology_basis(K, r, t)
-    resolvents = [build_resolvent(K, c, p=p, q=q) for c in cycles]
+    resolvents = [build_resolvent(K, c, p=p, q=q)
+                  for c in homology_cycle_basis(K, p, q)]
+    cocycles = log_cohomology_basis(K, q, q - p)
     matrix = [
         [period_of_cycle(w, res).coefficient for w in cocycles]
         for res in resolvents
     ]
-    return cycles, cocycles, matrix
+    return resolvents, cocycles, matrix

@@ -324,6 +324,7 @@ def test_invariant_factor_chain():
     assert invariant_factor_chain([2, 2]) == (2, 2)
     assert invariant_factor_chain([2, 4, 3]) == (2, 12)
     assert invariant_factor_chain([6, 4]) == (2, 12)
+    assert invariant_factor_chain([2**61 - 1, 2]) == (2 * (2**61 - 1),)
     with pytest.raises(ValueError):
         invariant_factor_chain([1])
 
