@@ -80,9 +80,8 @@ def _load_complex(path: str) -> SimplicialComplex:
 
 
 def _parse_engines(text: str) -> tuple:
+    """Distinct engine names, in order; verify compares at least two."""
     names = tuple(name.strip() for name in text.split(",") if name.strip())
-    if not names:
-        raise ParseError("at least one engine is required")
     for name in names:
         if name not in ALL_ENGINES:
             raise ParseError(
@@ -91,6 +90,9 @@ def _parse_engines(text: str) -> tuple:
     for name in names:
         if name not in seen:
             seen.append(name)
+    if len(seen) < 2:
+        raise ParseError(
+            f"verify compares engines: name at least two of {', '.join(ALL_ENGINES)}")
     return tuple(seen)
 
 
@@ -199,10 +201,15 @@ def _compare_engines(bidegrees, outcomes, where: str) -> list:
     return mismatches
 
 
-def _verify_periods(K: SimplicialComplex, t_max: int, where: str) -> list:
-    """Nondegeneracy and vanishing checks for the period pairing."""
+def _verify_periods(K: SimplicialComplex, engines: tuple, t_max: int,
+                    where: str) -> list:
+    """Nondegeneracy and vanishing checks for the period pairing.
+
+    The bidegrees to check are the nonzero ones of a named engine other
+    than cech: koszul when it is named, else hochster.
+    """
     mismatches = []
-    bt = betti_table(K)
+    bt = betti_table(K, engine="koszul" if "koszul" in engines else "hochster")
     nonzero = [(p, q) for (p, q) in bt.bidegrees()
                if bt.rank(p, q) > 0 and q - p <= t_max]
     resolvents, bases, matrices = {}, {}, {}
@@ -262,6 +269,8 @@ def _verify_periods(K: SimplicialComplex, t_max: int, where: str) -> list:
 def cmd_verify(args) -> int:
     K = _load_complex(args.input)
     engines = _parse_engines(args.engines)
+    if args.t_max is not None and args.t_max < 0:
+        raise ParseError(f"--t-max must be at least 0, got {args.t_max}")
     t_max = args.t_max if args.t_max is not None else K.n
     where = describe_complex(K)
     bidegrees = [(p, q) for q in range(K.n + 1) for p in range(q + 1)]
@@ -271,7 +280,7 @@ def cmd_verify(args) -> int:
     outcomes = _run_parallel(_verify_worker, payloads, args.jobs)
     mismatches = _compare_engines(bidegrees, outcomes, where)
     if "cech" in engines:
-        mismatches.extend(_verify_periods(K, t_max, where))
+        mismatches.extend(_verify_periods(K, engines, t_max, where))
     if mismatches:
         for line in mismatches:
             print(f"disagreement: {line}", file=sys.stderr)
@@ -485,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("-n", type=int, required=True, help="vertex count")
     scan.add_argument("--exhaustive", action="store_true",
                       help="enumerate every complex (default for small n)")
-    scan.add_argument("--samples", type=int, default=None,
+    scan.add_argument("--samples", type=_positive_int, default=None,
                       help="number of random complexes instead")
     scan.add_argument("--seed", type=int, default=0,
                       help="seed for --samples (default 0)")

@@ -11,9 +11,13 @@ determinant_rational are thin entry points over it.  Over Z one dense
 Smith elimination serves smith_normal_form (the invariant factors alone)
 and smith_with_transforms (with the four change-of-basis matrices);
 homology_of_pair pays for the transforms only when integer
-representatives are requested.  invariant_factor_chain merges torsion
-orders into their divisibility chain by pairwise gcd and lcm, so no
-integer is ever factored.
+representatives are requested.  The two transform-free eliminations,
+rank and smith_normal_form, first split off every ±1 pivot with sparse
+integer row operations (Dumas, Saunders and Villard, JSC 2001): each is
+one invariant factor 1 and one unit of rank, and only the residue they
+leave goes on to the echelon or the dense Smith form.
+invariant_factor_chain merges torsion orders into their divisibility
+chain by pairwise gcd and lcm, so no integer is ever factored.
 """
 
 from __future__ import annotations
@@ -193,9 +197,51 @@ def _integral(v) -> tuple:
     return {j: x.numerator * (s // x.denominator) for j, x in enumerate(v) if x}, s
 
 
+def _unit_pivots(M: IntMatrix) -> tuple:
+    """(units, residue): M brought by sparse integer row operations to an
+    identity block of size `units` beside the nonzero rows `residue`.
+
+    While some row holds a ±1 entry s, the first such row in row order
+    clears s's column in every other row.  It is then alone in its column,
+    so the column operations that would clear the rest of it touch no other
+    row, and it is dropped as one invariant factor 1.  Rows before the scan
+    position hold no ±1 until an elimination changes them, so the scan
+    resumes at the first changed row.  M is not modified.
+    """
+    rows = [dict(row) for row in M.rows if row]
+    units = i = 0
+    while i < len(rows):
+        pivot = rows[i]
+        for c, s in pivot.items():
+            if s == 1 or s == -1:
+                break
+        else:
+            i += 1
+            continue
+        units += 1
+        del rows[i]
+        for j, row in enumerate(rows):
+            a = row.get(c)
+            if a:
+                q = a * s  # row -= q * pivot clears column c, as s * s == 1
+                for k, x in pivot.items():
+                    y = row.get(k, 0) - q * x
+                    if y:
+                        row[k] = y
+                    else:
+                        del row[k]
+                if j < i:
+                    i = j
+    return units, [row for row in rows if row]
+
+
 def rank(M: IntMatrix) -> int:
-    """Rank over Q: the number of rows of M the echelon keeps."""
-    return len(_Echelon(M.rows).cols)
+    """Rank over Q: the unit pivots of M plus the rank the echelon finds in
+    the residue they leave."""
+    units, residue = _unit_pivots(M)
+    if not residue:
+        return units
+    return units + len(_Echelon(residue).cols)
 
 
 def nullspace_rational(M: IntMatrix) -> list:
@@ -390,10 +436,17 @@ def smith_with_transforms(M: IntMatrix):
 def smith_normal_form(M: IntMatrix) -> tuple:
     """Nonzero invariant factors of M, leading 1s included.
 
-    Runs the elimination of smith_with_transforms without keeping any
-    change-of-basis matrix.
+    Each unit pivot is a factor 1.  The residue the pivots leave, restricted
+    to the columns it still uses, goes through the elimination of
+    smith_with_transforms without any change-of-basis matrix; for most
+    Koszul blocks there is no residue.
     """
-    return _smith(M.to_rows(), None)
+    units, residue = _unit_pivots(M)
+    if not residue:
+        return (1,) * units
+    cols = sorted(set().union(*residue))
+    dense = [[row.get(j, 0) for j in cols] for row in residue]
+    return (1,) * units + _smith(dense, None)
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,38 @@ def test_verify_empty_engines_exits_2(two_points_file):
     assert cli.main(["verify", two_points_file, "--engines", " , "]) == 2
 
 
+@pytest.mark.parametrize("engines", ["cech", "koszul", "koszul,koszul"])
+def test_verify_needs_two_engines(square_file, engines, capsys):
+    assert cli.main(["verify", square_file, "--engines", engines]) == 2
+    assert "at least two" in capsys.readouterr().err
+
+
+def test_verify_hochster_cech_runs_no_koszul(square_file, monkeypatch, capsys):
+    from momentangle import koszul
+
+    calls = []
+    real = koszul.koszul_cohomology
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(koszul, "koszul_cohomology", counted)
+    monkeypatch.setattr(cli, "koszul_cohomology", counted)
+    assert cli.main(["verify", square_file, "--engines", "hochster,cech"]) == 0
+    assert "ok: engines hochster, cech agree" in capsys.readouterr().out
+    assert calls == []
+    # the wrappers do count: the default engines reach koszul
+    assert cli.main(["verify", square_file]) == 0
+    assert calls
+
+
+def test_verify_negative_t_max_exits_2(square_file, capsys):
+    assert cli.main(["verify", square_file, "--engines", "koszul,cech",
+                     "--t-max", "-3"]) == 2
+    assert "--t-max" in capsys.readouterr().err
+
+
 def test_verify_disagreement_exits_3(two_points_file, monkeypatch, capsys):
     real = cli.hochster_cohomology
 
@@ -233,6 +265,13 @@ def test_scan_samples_reproducible(capsys):
 
 def test_scan_rejects_conflicting_modes(capsys):
     assert cli.main(["scan", "-n", "3", "--exhaustive", "--samples", "4"]) == 2
+
+
+def test_scan_rejects_negative_samples(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["scan", "-n", "3", "--samples", "-5"])
+    assert info.value.code == 2
+    assert "--samples" in capsys.readouterr().err
 
 
 def test_scan_large_n_needs_samples(capsys):

@@ -7,6 +7,7 @@ from itertools import permutations
 import pytest
 
 from momentangle.errors import CompositionError
+from momentangle.koszul import _matrix, _support_blocks, koszul_basis
 from momentangle.linalg import (
     HomologyResult,
     IntMatrix,
@@ -19,6 +20,7 @@ from momentangle.linalg import (
     smith_normal_form,
     smith_with_transforms,
 )
+from momentangle.simplicial import enumerate_complexes
 
 
 def random_matrix(rng, nrows, ncols, lo=-3, hi=3, density=0.6):
@@ -120,6 +122,74 @@ def test_smith_normal_form_matches_transform_path():
         assert factors == smith_with_transforms(M)[0]
         non_unit += any(f > 1 for f in factors)
     assert non_unit >= 20
+
+
+def assert_unit_pivot_paths(M):
+    """smith_normal_form and rank, which start with the sparse unit-pivot
+    pass, agree with the dense transform path and the kernel dimension,
+    and leave M as it was."""
+    rows = [dict(row) for row in M.rows]
+    assert smith_normal_form(M) == smith_with_transforms(M)[0]
+    assert rank(M) == M.ncols - len(nullspace_rational(M))
+    assert M.rows == rows
+
+
+def koszul_blocks(K):
+    """d_in and d_out of every support block of every bidegree of K."""
+    for q in range(K.n + 1):
+        for p in range(q + 1):
+            lower = _support_blocks(koszul_basis(K, p - 1, q))
+            upper = _support_blocks(koszul_basis(K, p + 1, q))
+            for S, block in _support_blocks(koszul_basis(K, p, q)).items():
+                monomials = [m for _, m in block]
+                yield _matrix(K, monomials, [m for _, m in lower.get(S, ())])
+                yield _matrix(K, [m for _, m in upper.get(S, ())], monomials)
+
+
+def test_unit_pivots_on_every_koszul_block_of_four_vertices():
+    blocks = 0
+    for K in enumerate_complexes(4):
+        for M in koszul_blocks(K):
+            assert_unit_pivot_paths(M)
+            blocks += 1
+    assert blocks > 1000
+
+
+def test_unit_pivots_on_random_matrices():
+    rng = random.Random(37)
+    for _ in range(150):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        kind = rng.choice(["no units", "units only", "zero lines", "mixed"])
+        if kind == "no units":
+            # every entry is at least 2 in size, so the dense residue path runs
+            M = random_matrix(rng, m, n, lo=2, hi=5, density=0.5)
+            for row in M.rows:
+                for j in row:
+                    row[j] *= rng.choice([1, -1])
+        elif kind == "units only":
+            M = random_matrix(rng, m, n, lo=-1, hi=1)
+        else:
+            M = random_matrix(rng, m, n, lo=-4, hi=4, density=0.5)
+        if kind == "zero lines":
+            if m:
+                M.rows[rng.randrange(m)] = {}
+            if n:
+                j = rng.randrange(n)
+                for row in M.rows:
+                    row.pop(j, None)
+        assert_unit_pivot_paths(M)
+
+
+def test_unit_pivots_examples():
+    # a -1 pivot, after which the residue holds no unit
+    M = IntMatrix.from_rows([[-1, 2, 0], [3, 4, 0], [0, 0, 6], [0, 2, 4]])
+    assert_unit_pivot_paths(M)
+    assert smith_normal_form(M) == (1, 2, 2)
+    # clearing the pivot column creates the next unit in an earlier row
+    M = IntMatrix.from_rows([[2, 3], [1, 1]])
+    assert_unit_pivot_paths(M)
+    assert smith_normal_form(M) == (1, 1)
+    assert rank(IntMatrix.from_rows([[1, 1], [-1, -1], [2, 2]])) == 1
 
 
 def test_homology_torsion_only():
