@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cells import Cell, CellChain, add_chains, apply_boundary, cell_boundary
+from .cells import CellChain, add_chains, apply_boundary
 from .errors import InvariantViolation
 from .simplicial import SimplicialComplex, face_key
 
@@ -48,14 +48,11 @@ class CechChain:
 
     __slots__ = ("t", "entries")
 
-    def __init__(self, t: int, entries=None):
+    def __init__(self, t: int):
         if t < 0:
             raise ValueError(f"level must be nonnegative, got {t}")
         self.t = t
         self.entries: dict = {}
-        if entries:
-            for faces, chain in entries.items():
-                self.add(faces, chain)
 
     def add(self, faces: tuple, chain: CellChain, scale=1) -> None:
         """Accumulate scale * chain at the given tuple, canonicalizing."""
@@ -193,8 +190,7 @@ def build_resolvent(K: SimplicialComplex, cycle: CellChain,
     return res
 
 
-def validate_resolvent(K: SimplicialComplex, res: Resolvent,
-                       cycle: CellChain = None) -> tuple:
+def validate_resolvent(K: SimplicialComplex, res: Resolvent) -> tuple:
     """Check every defining identity of a resolvent.
 
     Returns ``(True, "")`` when everything holds, otherwise
@@ -205,15 +201,11 @@ def validate_resolvent(K: SimplicialComplex, res: Resolvent,
     strictly ascending and made of faces, with entry discs inside the
     smallest face of the tuple; each level's entrywise boundary equals
     (-1)^(s - level) times the face-deletion of the next level; and the
-    last level's entrywise boundary vanishes.
-
-    An explicit ``cycle`` overrides the one stored on the resolvent,
-    letting callers confirm a ladder against an independently chosen
-    chain.
+    last level's entrywise boundary vanishes.  The cycle checked is the
+    one stored on the resolvent.
     """
     p, q, s = res.p, res.q, res.total_degree
-    if cycle is None:
-        cycle = res.cycle
+    cycle = res.cycle
     if cycle:
         try:
             position = _homogeneous_position(cycle)

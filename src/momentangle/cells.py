@@ -110,22 +110,22 @@ def boundary_matrix(K: SimplicialComplex, p: int, q: int) -> IntMatrix:
     return M
 
 
-def cell_homology(K: SimplicialComplex, p: int, q: int, ring: str = "Z",
+def cell_homology(K: SimplicialComplex, p: int, q: int,
                   want_representatives: bool = True) -> HomologyResult:
-    """Homology of the cell chains at (p, q); boundary raises p by one.
+    """Integral homology of the cell chains at (p, q); boundary raises p by one.
 
     Representative vectors are coordinates over cell_basis(K, p, q).
     """
     d_in = boundary_matrix(K, p - 1, q)
     d_out = boundary_matrix(K, p, q)
-    return homology_of_pair(d_in, d_out, ring=ring,
+    return homology_of_pair(d_in, d_out,
                             want_representatives=want_representatives)
 
 
-def homology_cycle_basis(K: SimplicialComplex, p: int, q: int, ring: str = "Z") -> list:
-    """Cycles spanning the free part of the homology at (p, q), as chains."""
+def homology_cycle_basis(K: SimplicialComplex, p: int, q: int) -> list:
+    """Integral cycles spanning the free part of the homology at (p, q), as chains."""
     basis = cell_basis(K, p, q)
-    H = cell_homology(K, p, q, ring=ring)
+    H = cell_homology(K, p, q)
     return [
         {c: v for c, v in zip(basis, vec) if v}
         for vec in H.representatives

@@ -9,6 +9,10 @@ resolvent  print the resolvent ladder of each homology basis cycle
 periods    print the exact period matrix at one bidegree
 scan       stream summaries for many complexes at a fixed vertex count
 
+Each subcommand accepts only the flags it reads (see ``build_parser``);
+``verify --t-max`` needs the cech engine and ``scan --seed`` needs
+``--samples``.
+
 Exit codes: 0 success, 2 bad input, 3 engine disagreement, 4 violated
 internal invariant or other internal error.  All output is deterministic:
 repeated runs, with any worker count, produce identical bytes.
@@ -24,7 +28,7 @@ import sys
 from itertools import combinations
 from multiprocessing import Pool
 
-from .cech import build_resolvent, validate_resolvent
+from .cech import build_resolvent
 from .cells import homology_cycle_basis
 from .errors import CompositionError, InvariantViolation, ParseError
 from .hochster import hochster_cohomology
@@ -115,10 +119,6 @@ def _run_parallel(worker, payloads: list, jobs: int) -> list:
     return [worker(payload) for payload in payloads]
 
 
-def _rebuild(n: int, faces: tuple) -> SimplicialComplex:
-    return SimplicialComplex(n, set(faces))
-
-
 def format_cell(cell) -> str:
     disks = ",".join(str(v) for v in cell.disks)
     circles = ",".join(str(v) for v in cell.circles)
@@ -168,8 +168,7 @@ def cmd_hodge(args) -> int:
 
 
 def _verify_worker(payload) -> dict:
-    n, faces, p, q, engines, ring, t_max = payload
-    K = _rebuild(n, faces)
+    K, p, q, engines, ring, t_max = payload
     outcome = {}
     if "koszul" in engines:
         H = koszul_cohomology(K, p, q, ring=ring, want_representatives=False)
@@ -201,23 +200,20 @@ def _compare_engines(bidegrees, outcomes, where: str) -> list:
     return mismatches
 
 
-def _verify_periods(K: SimplicialComplex, engines: tuple, t_max: int,
-                    where: str) -> list:
+def _verify_periods(K: SimplicialComplex, ranks: dict, where: str) -> list:
     """Nondegeneracy and vanishing checks for the period pairing.
 
-    The bidegrees to check are the nonzero ones of a named engine other
-    than cech: koszul when it is named, else hochster.
+    ``ranks`` maps each bidegree the cech engine covered, in graded
+    order, to the rank found there by the reference engine.
     """
     mismatches = []
-    bt = betti_table(K, engine="koszul" if "koszul" in engines else "hochster")
-    nonzero = [(p, q) for (p, q) in bt.bidegrees()
-               if bt.rank(p, q) > 0 and q - p <= t_max]
+    nonzero = [pq for pq, rank in ranks.items() if rank > 0]
     resolvents, bases, matrices = {}, {}, {}
     for pq in nonzero:
         resolvents[pq], bases[pq], matrices[pq] = period_matrix(K, *pq)
 
     for (p, q) in nonzero:
-        rank = bt.rank(p, q)
+        rank = ranks[(p, q)]
         if len(resolvents[(p, q)]) != rank or len(bases[(p, q)]) != rank:
             mismatches.append(
                 f"bidegree ({p}, {q}) of {where}: period matrix is "
@@ -269,18 +265,22 @@ def _verify_periods(K: SimplicialComplex, engines: tuple, t_max: int,
 def cmd_verify(args) -> int:
     K = _load_complex(args.input)
     engines = _parse_engines(args.engines)
+    if args.t_max is not None and "cech" not in engines:
+        raise ParseError("--t-max bounds the cech engine; add cech to --engines")
     if args.t_max is not None and args.t_max < 0:
         raise ParseError(f"--t-max must be at least 0, got {args.t_max}")
     t_max = args.t_max if args.t_max is not None else K.n
     where = describe_complex(K)
     bidegrees = [(p, q) for q in range(K.n + 1) for p in range(q + 1)]
-    faces = tuple(K.faces_sorted())
-    payloads = [(K.n, faces, p, q, engines, args.ring, t_max)
-                for (p, q) in bidegrees]
+    payloads = [(K, p, q, engines, args.ring, t_max) for (p, q) in bidegrees]
     outcomes = _run_parallel(_verify_worker, payloads, args.jobs)
     mismatches = _compare_engines(bidegrees, outcomes, where)
     if "cech" in engines:
-        mismatches.extend(_verify_periods(K, engines, t_max, where))
+        reference = "koszul" if "koszul" in engines else "hochster"
+        ranks = {pq: outcome[reference][0]
+                 for pq, outcome in zip(bidegrees, outcomes)
+                 if "cech" in outcome}
+        mismatches.extend(_verify_periods(K, ranks, where))
     if mismatches:
         for line in mismatches:
             print(f"disagreement: {line}", file=sys.stderr)
@@ -294,23 +294,27 @@ def cmd_verify(args) -> int:
 # resolvent / periods
 
 
-def cmd_resolvent(args) -> int:
-    K = _load_complex(args.input)
+def _bidegree(args, K: SimplicialComplex) -> tuple:
     p, q = args.p, args.q
     if not (0 <= p <= q <= K.n):
         raise ParseError(f"bidegree ({p}, {q}) outside 0 <= p <= q <= {K.n}")
-    cycles = homology_cycle_basis(K, p, q)
+    return p, q
+
+
+def cmd_resolvent(args) -> int:
+    K = _load_complex(args.input)
+    p, q = _bidegree(args, K)
     classes = []
-    for cycle in cycles:
+    for cycle in homology_cycle_basis(K, p, q):
+        # build_resolvent validates the ladder and raises when it fails
         res = build_resolvent(K, cycle, p=p, q=q)
-        ok, message = validate_resolvent(K, res)
         levels = [{"t": level.t,
                    "entries": [{"tuple": format_face_tuple(faces),
                                 "chain": format_chain(level.entries[faces])}
                                for faces in _sorted_tuples(level.entries)]}
                   for level in res.levels]
         classes.append({"cycle": format_chain(cycle), "levels": levels,
-                        "valid": ok, "message": message})
+                        "valid": True, "message": ""})
 
     if args.format == "json":
         payload = {"p": p, "q": q, "complex": describe_complex(K),
@@ -327,17 +331,14 @@ def cmd_resolvent(args) -> int:
             lines.append(f"  level {level['t']}:")
             for entry in level["entries"]:
                 lines.append(f"    {entry['tuple']} -> {entry['chain']}")
-        status = "yes" if cls["valid"] else f"NO ({cls['message']})"
-        lines.append(f"  valid: {status}")
+        lines.append("  valid: yes")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_periods(args) -> int:
     K = _load_complex(args.input)
-    p, q = args.p, args.q
-    if not (0 <= p <= q <= K.n):
-        raise ParseError(f"bidegree ({p}, {q}) outside 0 <= p <= q <= {K.n}")
+    p, q = _bidegree(args, K)
     _, _, matrix = period_matrix(K, p, q)
 
     if args.format == "json":
@@ -382,8 +383,7 @@ def sample_complexes(n: int, count: int, seed: int) -> list:
 
 
 def _scan_worker(payload) -> str:
-    n, faces, ring, fmt = payload
-    K = _rebuild(n, faces)
+    K, ring, fmt = payload
     bt = betti_table(K, ring=ring)
     hr = hodge_report(bt)
     torsion = [((p, q), chain) for (p, q), (_, chain) in
@@ -415,18 +415,17 @@ def cmd_scan(args) -> int:
     n = args.n
     if n < 1:
         raise ParseError("scan needs n >= 1")
-    if args.exhaustive and args.samples is not None:
-        raise ParseError("choose either --exhaustive or --samples, not both")
+    if args.samples is None and args.seed is not None:
+        raise ParseError("--seed needs --samples")
     if args.samples is not None:
-        complexes = sample_complexes(n, args.samples, args.seed)
+        complexes = sample_complexes(n, args.samples, args.seed or 0)
     else:
         if n > MAX_ENUMERATION_VERTICES:
             raise ParseError(
                 f"exhaustive scan supports n <= {MAX_ENUMERATION_VERTICES}; "
                 f"use --samples for larger n")
         complexes = list(enumerate_complexes(n))
-    payloads = [(K.n, tuple(K.faces_sorted()), args.ring, args.format)
-                for K in complexes]
+    payloads = [(K, args.ring, args.format) for K in complexes]
     for line in _run_parallel(_scan_worker, payloads, args.jobs):
         print(line)
     return EXIT_OK
@@ -441,46 +440,50 @@ def build_parser() -> argparse.ArgumentParser:
         prog="momentangle",
         description="Exact bigraded cohomology and mixed Hodge tables for "
                     "coordinate subspace arrangement complements.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--ring", choices=("Z", "Q"), default="Z",
-                        help="coefficient ring (default Z)")
-    common.add_argument("--jobs", type=_positive_int, default=1,
-                        help="worker processes (default 1)")
-    common.add_argument("--format", choices=("json", "tsv", "pretty"),
-                        default="pretty", help="output format (default pretty)")
+    ring = argparse.ArgumentParser(add_help=False)
+    ring.add_argument("--ring", choices=("Z", "Q"), default="Z",
+                      help="coefficient ring (default Z)")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=_positive_int, default=1,
+                      help="worker processes (default 1)")
+    formats = argparse.ArgumentParser(add_help=False)
+    formats.add_argument("--format", choices=("json", "tsv", "pretty"),
+                         default="pretty", help="output format (default pretty)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    betti = sub.add_parser("betti", parents=[common],
+    betti = sub.add_parser("betti", parents=[ring, formats],
                            help="bigraded ranks and torsion")
     betti.add_argument("input", help="complex JSON file, or - for stdin")
     betti.set_defaults(handler=cmd_betti)
 
-    hodge = sub.add_parser("hodge", parents=[common],
+    hodge = sub.add_parser("hodge", parents=[ring, formats],
                            help="Betti table plus filtrations and Hodge numbers")
     hodge.add_argument("input", help="complex JSON file, or - for stdin")
     hodge.set_defaults(handler=cmd_hodge)
 
-    verify = sub.add_parser("verify", parents=[common],
+    verify = sub.add_parser("verify", parents=[ring, jobs],
                             help="cross-check engines over all bidegrees")
     verify.add_argument("input", help="complex JSON file, or - for stdin")
     verify.add_argument("--engines", default="koszul,hochster",
                         help="comma-separated subset of koszul,hochster,cech")
     verify.add_argument("--t-max", type=int, default=None, dest="t_max",
-                        help="largest cover degree for the cech engine "
-                             "(default: n)")
+                        help="largest cover degree for the cech engine, "
+                             "which must be named (default: n)")
     verify.set_defaults(handler=cmd_verify)
 
-    resolvent = sub.add_parser("resolvent", parents=[common],
+    resolvent = sub.add_parser("resolvent",
                                help="resolvent ladders of homology basis cycles")
     resolvent.add_argument("input", help="complex JSON file, or - for stdin")
     resolvent.add_argument("-p", type=int, required=True,
                            help="circle count of the bidegree")
     resolvent.add_argument("-q", type=int, required=True,
                            help="total index count of the bidegree")
+    resolvent.add_argument("--format", choices=("json", "pretty"),
+                           default="pretty", help="output format (default pretty)")
     resolvent.set_defaults(handler=cmd_resolvent)
 
-    periods = sub.add_parser("periods", parents=[common],
+    periods = sub.add_parser("periods", parents=[formats],
                              help="exact period matrix at one bidegree")
     periods.add_argument("input", help="complex JSON file, or - for stdin")
     periods.add_argument("-p", type=int, required=True,
@@ -489,14 +492,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="total index count of the bidegree")
     periods.set_defaults(handler=cmd_periods)
 
-    scan = sub.add_parser("scan", parents=[common],
+    scan = sub.add_parser("scan", parents=[ring, jobs, formats],
                           help="summaries for many complexes at fixed n")
     scan.add_argument("-n", type=int, required=True, help="vertex count")
-    scan.add_argument("--exhaustive", action="store_true",
-                      help="enumerate every complex (default for small n)")
     scan.add_argument("--samples", type=_positive_int, default=None,
                       help="number of random complexes instead")
-    scan.add_argument("--seed", type=int, default=0,
+    scan.add_argument("--seed", type=int, default=None,
                       help="seed for --samples (default 0)")
     scan.set_defaults(handler=cmd_scan)
 

@@ -147,19 +147,22 @@ def hodge_report(bt: BettiTable) -> HodgeReport:
     return HodgeReport(tuple(rows))
 
 
+def _betti_payload(bt: BettiTable) -> list:
+    return [{"p": p, "q": q, "rank": bt.entries[(p, q)][0],
+             "torsion": list(bt.entries[(p, q)][1])}
+            for (p, q) in bt.bidegrees()]
+
+
 def report_payload(bt: BettiTable, hr: HodgeReport = None) -> dict:
     """The documented JSON payload as plain Python objects."""
     if hr is None:
         hr = hodge_report(bt)
-    betti = [{"p": p, "q": q, "rank": bt.entries[(p, q)][0],
-              "torsion": list(bt.entries[(p, q)][1])}
-             for (p, q) in bt.bidegrees()]
     hodge = [{"s": row.s,
               "F": {str(k): row.F[k] for k in sorted(row.F)},
               "W": {str(r): row.W[r] for r in sorted(row.W)},
               "h": {str(q): row.h[q] for q in sorted(row.h)}}
              for row in hr.degrees]
-    return {"betti": betti, "hodge": hodge}
+    return {"betti": _betti_payload(bt), "hodge": hodge}
 
 
 def _torsion_text(chain: tuple) -> str:
@@ -187,7 +190,7 @@ def _betti_lines_pretty(bt: BettiTable) -> list:
 def render_betti(bt: BettiTable, format: str = "pretty") -> str:
     """Serialize the Betti table alone, without the Hodge summary."""
     if format == "json":
-        return json.dumps({"betti": report_payload(bt)["betti"]}, indent=2) + "\n"
+        return json.dumps({"betti": _betti_payload(bt)}, indent=2) + "\n"
     if format == "tsv":
         return "\n".join(_betti_lines_tsv(bt)) + "\n"
     if format == "pretty":

@@ -131,8 +131,8 @@ def parse_complex(text: str) -> SimplicialComplex:
     """Parse a JSON object {"n": int, "facets": [[int, ...], ...]}.
 
     Returns the downward closure of the listed facets together with the
-    empty face.  Raises ParseError on malformed input, an out-of-range or
-    repeated vertex, or negative n.
+    empty face.  Raises ParseError on malformed input, a key other than
+    "n" and "facets", an out-of-range or repeated vertex, or negative n.
     """
     try:
         data = json.loads(text)
@@ -140,6 +140,9 @@ def parse_complex(text: str) -> SimplicialComplex:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("top-level value must be an object")
+    for key in data:
+        if key not in ("n", "facets"):
+            raise ParseError(f'unknown key {key!r}; expected only "n" and "facets"')
     if "n" not in data:
         raise ParseError('missing required key "n"')
     n = data["n"]

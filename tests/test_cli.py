@@ -124,6 +124,41 @@ def test_verify_negative_t_max_exits_2(square_file, capsys):
     assert "--t-max" in capsys.readouterr().err
 
 
+def test_verify_t_max_needs_cech(square_file, capsys):
+    assert cli.main(["verify", square_file, "--engines", "koszul,hochster",
+                     "--t-max", "1"]) == 2
+    assert "--t-max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("engines", ["koszul,hochster,cech", "hochster,cech"])
+def test_verify_cech_reuses_worker_ranks(square_file, engines, monkeypatch,
+                                         capsys):
+    def explode(*args, **kwargs):
+        raise AssertionError("verify recomputed a whole Betti table")
+
+    monkeypatch.setattr(cli, "betti_table", explode)
+    assert cli.main(["verify", square_file, "--engines", engines]) == 0
+    assert capsys.readouterr().out.startswith("ok: engines")
+
+
+@pytest.mark.parametrize("argv", [
+    ["betti", "{input}", "--jobs", "2"],
+    ["hodge", "{input}", "--jobs", "2"],
+    ["verify", "{input}", "--format", "json"],
+    ["resolvent", "{input}", "-p", "1", "-q", "2", "--ring", "Q"],
+    ["resolvent", "{input}", "-p", "1", "-q", "2", "--jobs", "2"],
+    ["resolvent", "{input}", "-p", "1", "-q", "2", "--format", "tsv"],
+    ["periods", "{input}", "-p", "1", "-q", "2", "--ring", "Q"],
+    ["periods", "{input}", "-p", "1", "-q", "2", "--jobs", "2"],
+    ["scan", "-n", "2", "--exhaustive"],
+], ids=lambda argv: "_".join(a.lstrip("-") for a in argv if a != "{input}"))
+def test_flags_a_subcommand_ignores_are_refused(square_file, argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main([arg.format(input=square_file) for arg in argv])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_disagreement_exits_3(two_points_file, monkeypatch, capsys):
     real = cli.hochster_cohomology
 
@@ -213,6 +248,26 @@ def test_resolvent_output(two_points_file, capsys):
     assert cls["cycle"] == "+1*D[1]S[2] +1*D[2]S[1]"
 
 
+def test_resolvent_validates_each_class_once(square_file, monkeypatch,
+                                             capsys):
+    from momentangle import cech
+
+    calls = []
+    real = cech.validate_resolvent
+
+    def counted(K, res):
+        calls.append(res.cycle)
+        return real(K, res)
+
+    monkeypatch.setattr(cech, "validate_resolvent", counted)
+    # count a second binding in the CLI too, should one come back
+    monkeypatch.setattr(cli, "validate_resolvent", counted, raising=False)
+    assert cli.main(["resolvent", square_file, "-p", "1", "-q", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("valid: yes") == 2
+    assert len(calls) == 2 and calls[0] != calls[1]
+
+
 def test_resolvent_empty_bidegree(two_points_file, capsys):
     assert cli.main(["resolvent", two_points_file, "-p", "0", "-q", "1"]) == 0
     assert "no homology classes" in capsys.readouterr().out
@@ -263,8 +318,9 @@ def test_scan_samples_reproducible(capsys):
     assert len(first.splitlines()) == 8
 
 
-def test_scan_rejects_conflicting_modes(capsys):
-    assert cli.main(["scan", "-n", "3", "--exhaustive", "--samples", "4"]) == 2
+def test_scan_seed_needs_samples(capsys):
+    assert cli.main(["scan", "-n", "2", "--seed", "5"]) == 2
+    assert "--seed needs --samples" in capsys.readouterr().err
 
 
 def test_scan_rejects_negative_samples(capsys):

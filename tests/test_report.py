@@ -11,6 +11,7 @@ from momentangle.report import (
     filtration_dims,
     hodge_report,
     mixed_hodge_numbers,
+    render_betti,
     render_report,
     report_payload,
 )
@@ -139,6 +140,20 @@ def test_json_round_trip():
     assert h3["F"] == {"0": 2, "1": 2, "2": 2, "3": 0, "4": 0}
     assert h3["W"] == {"2": 0, "3": 0, "4": 2, "5": 2, "6": 2}
     assert h3["h"] == {"2": 2}
+
+
+def test_betti_json_builds_no_hodge_report(monkeypatch):
+    from momentangle import report
+
+    bt = betti_table(square())
+    want = render_betti(bt, "json")
+    assert json.loads(want) == {"betti": report_payload(bt)["betti"]}
+
+    def explode(bt):
+        raise AssertionError("render_betti built a Hodge report")
+
+    monkeypatch.setattr(report, "hodge_report", explode)
+    assert render_betti(bt, "json") == want
 
 
 def test_json_records_torsion_chain():

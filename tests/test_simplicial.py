@@ -75,6 +75,14 @@ def test_parse_complex_no_facets_key():
     assert K.faces == {()}
 
 
+def test_parse_complex_rejects_unknown_key():
+    # a misspelled "facets" must not read as n ghost vertices
+    with pytest.raises(ParseError, match="'facet'"):
+        parse_complex('{"n": 4, "facet": [[1, 2]]}')
+    with pytest.raises(ParseError, match="'note'"):
+        parse_complex('{"n": 2, "facets": [[1]], "note": "x"}')
+
+
 def test_parse_complex_bad_json():
     with pytest.raises(ParseError):
         parse_complex("{not json")
@@ -174,3 +182,14 @@ def test_enumeration_rejects_out_of_range():
         list(enumerate_complexes(0))
     with pytest.raises(ValueError):
         list(enumerate_complexes(6))
+
+
+def test_complex_pickles_whole():
+    # worker processes receive complexes as they are, without rebuilding
+    import pickle
+
+    K = square_boundary()
+    copy = pickle.loads(pickle.dumps(K))
+    assert copy == K
+    assert copy.faces_sorted() == K.faces_sorted()
+    assert copy._by_size == K._by_size
