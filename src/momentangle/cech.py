@@ -43,40 +43,67 @@ def canonical_tuple(faces: tuple):
     return arranged, -1 if inversions % 2 else 1
 
 
-class CechChain:
-    """Alternating family of cell chains over (t + 1)-tuples of faces."""
+class _FaceTupleFamily:
+    """Alternating {key: coefficient} family over (t + 1)-tuples of faces.
+
+    Only canonical (ascending) tuples are stored, and an entry or key whose
+    coefficient cancels is dropped.
+    """
 
     __slots__ = ("t", "entries")
 
     def __init__(self, t: int):
-        if t < 0:
-            raise ValueError(f"level must be nonnegative, got {t}")
         self.t = t
-        self.entries: dict = {}
+        self.entries: dict = {}  # canonical tuple -> {key: coefficient}
 
-    def add(self, faces: tuple, chain: CellChain, scale=1) -> None:
-        """Accumulate scale * chain at the given tuple, canonicalizing."""
+    def _check_length(self, faces: tuple) -> None:
         if len(faces) != self.t + 1:
             raise ValueError(f"expected {self.t + 1} faces, got {len(faces)}")
-        arranged, sign = canonical_tuple(faces)
-        if sign == 0 or not chain:
-            return
-        current = self.entries.get(arranged, {})
-        merged = add_chains(current, chain, sign * scale)
-        if merged:
-            self.entries[arranged] = merged
-        else:
-            self.entries.pop(arranged, None)
 
-    def value(self, faces: tuple) -> CellChain:
+    def _accumulate(self, faces: tuple, values: dict, scale=1) -> None:
+        """Add scale * values at the given tuple, signed by its reordering."""
+        arranged, sign = canonical_tuple(faces)
+        if sign == 0:
+            return
+        factor = sign * scale
+        current = self.entries.setdefault(arranged, {})
+        for key, coeff in values.items():
+            v = current.get(key, 0) + factor * coeff
+            if v:
+                current[key] = v
+            else:
+                current.pop(key, None)
+        if not current:
+            del self.entries[arranged]
+
+    def value(self, faces: tuple) -> dict:
         """Signed entry at an arbitrary (possibly unordered) tuple."""
         arranged, sign = canonical_tuple(faces)
         if sign == 0:
             return {}
-        chain = self.entries.get(arranged, {})
+        entry = self.entries.get(arranged, {})
         if sign == 1:
-            return dict(chain)
-        return {c: -v for c, v in chain.items()}
+            return dict(entry)
+        return {k: -v for k, v in entry.items()}
+
+    def is_zero(self) -> bool:
+        return not self.entries
+
+
+class CechChain(_FaceTupleFamily):
+    """Alternating family of cell chains over (t + 1)-tuples of faces."""
+
+    __slots__ = ()
+
+    def __init__(self, t: int):
+        if t < 0:
+            raise ValueError(f"level must be nonnegative, got {t}")
+        super().__init__(t)
+
+    def add(self, faces: tuple, chain: CellChain, scale=1) -> None:
+        """Accumulate scale * chain at the given tuple, canonicalizing."""
+        self._check_length(faces)
+        self._accumulate(faces, chain, scale)
 
     def boundary(self) -> "CechChain":
         """Entrywise cell boundary; level is unchanged."""
@@ -107,9 +134,6 @@ class CechChain:
         for faces, chain in self.entries.items():
             out.add(faces, chain, c)
         return out
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def __eq__(self, other):
         return (
@@ -151,9 +175,15 @@ def build_resolvent(K: SimplicialComplex, cycle: CellChain,
     entrywise boundary of the previous one: the boundary term that freed
     the disc at index i lands at the tuple extended by the smaller disc
     set, scaled by (-1)^(s - level).  The tower ends when no discs remain.
+    A position (p, q) given with a nonempty cycle must be the cycle's own.
     """
     if cycle:
-        p, q = _homogeneous_position(cycle)
+        position = _homogeneous_position(cycle)
+        if any(given is not None and given != found
+               for given, found in zip((p, q), position)):
+            raise ValueError(f"cycle sits at position {position}, "
+                             f"not the given ({p}, {q})")
+        p, q = position
     elif p is None or q is None:
         raise ValueError("empty cycle needs an explicit position (p, q)")
     if apply_boundary(cycle):

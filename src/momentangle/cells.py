@@ -110,16 +110,12 @@ def boundary_matrix(K: SimplicialComplex, p: int, q: int) -> IntMatrix:
     return M
 
 
-def cell_homology(K: SimplicialComplex, p: int, q: int,
-                  want_representatives: bool = True) -> HomologyResult:
+def cell_homology(K: SimplicialComplex, p: int, q: int) -> HomologyResult:
     """Integral homology of the cell chains at (p, q); boundary raises p by one.
 
     Representative vectors are coordinates over cell_basis(K, p, q).
     """
-    d_in = boundary_matrix(K, p - 1, q)
-    d_out = boundary_matrix(K, p, q)
-    return homology_of_pair(d_in, d_out,
-                            want_representatives=want_representatives)
+    return homology_of_pair(boundary_matrix(K, p - 1, q), boundary_matrix(K, p, q))
 
 
 def homology_cycle_basis(K: SimplicialComplex, p: int, q: int) -> list:

@@ -275,18 +275,21 @@ def cmd_verify(args) -> int:
     payloads = [(K, p, q, engines, args.ring, t_max) for (p, q) in bidegrees]
     outcomes = _run_parallel(_verify_worker, payloads, args.jobs)
     mismatches = _compare_engines(bidegrees, outcomes, where)
+    coverage = ""
     if "cech" in engines:
         reference = "koszul" if "koszul" in engines else "hochster"
         ranks = {pq: outcome[reference][0]
                  for pq, outcome in zip(bidegrees, outcomes)
                  if "cech" in outcome}
         mismatches.extend(_verify_periods(K, ranks, where))
+        if len(ranks) < len(bidegrees):
+            coverage = f" (cech on the {len(ranks)} with q - p <= {t_max})"
     if mismatches:
         for line in mismatches:
             print(f"disagreement: {line}", file=sys.stderr)
         return EXIT_DISAGREE
     print(f"ok: engines {', '.join(engines)} agree on "
-          f"{len(bidegrees)} bidegrees of {where}")
+          f"{len(bidegrees)} bidegrees{coverage} of {where}")
     return EXIT_OK
 
 

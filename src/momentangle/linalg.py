@@ -9,7 +9,8 @@ Over Q one sparse echelon of primitive integer rows does every
 elimination: rank, nullspace_rational, quotient_representatives and
 determinant_rational are thin entry points over it.  Over Z one dense
 Smith elimination serves smith_normal_form (the invariant factors alone)
-and smith_with_transforms (with the four change-of-basis matrices);
+and smith_with_transforms (with the three change-of-basis matrices that
+homology representatives read);
 homology_of_pair pays for the transforms only when integer
 representatives are requested.  The two transform-free eliminations,
 rank and smith_normal_form, first split off every ±1 pivot with sparse
@@ -309,22 +310,21 @@ def _identity_rows(n: int) -> list:
 def _smith(A: list, transforms) -> tuple:
     """Diagonalize the dense rows A in place and return its invariant factors.
 
-    `transforms` is None, or the list [U, Uinv, V, Vinv] of identity-started
+    `transforms` is None, or the list [Uinv, V, Vinv] of identity-started
     dense matrices that every row and column operation also updates, so
-    that U * M * V ends up diagonal.  The elimination is the same either
-    way; without transforms it only skips their bookkeeping.
+    that M * V ends up as Uinv * D with D diagonal.  The elimination is the
+    same either way; without transforms it only skips their bookkeeping.
     """
     m = len(A)
     n = len(A[0]) if A else 0
     if transforms is not None:
-        U, Uinv, V, Vinv = transforms
+        Uinv, V, Vinv = transforms
 
     # Rows t.. are zero left of column t and columns t.. are zero above
     # row t, so the operations at step t only touch the trailing block.
     def swap_rows(a, b):
         A[a], A[b] = A[b], A[a]
         if transforms is not None:
-            U[a], U[b] = U[b], U[a]
             for r in Uinv:
                 r[a], r[b] = r[b], r[a]
 
@@ -340,7 +340,6 @@ def _smith(A: list, transforms) -> tuple:
         # row_i -= q * row_s
         A[i][t:] = [x - q * y for x, y in zip(A[i][t:], A[s][t:])]
         if transforms is not None:
-            U[i] = [x - q * y for x, y in zip(U[i], U[s])]
             for r in Uinv:
                 r[s] += q * r[i]
 
@@ -356,7 +355,6 @@ def _smith(A: list, transforms) -> tuple:
     def negate_row(i):
         A[i] = [-x for x in A[i]]
         if transforms is not None:
-            U[i] = [-x for x in U[i]]
             for r in Uinv:
                 r[i] = -r[i]
 
@@ -420,14 +418,15 @@ def _smith(A: list, transforms) -> tuple:
 
 
 def smith_with_transforms(M: IntMatrix):
-    """Smith normal form with all four change-of-basis matrices.
+    """Smith normal form with the change-of-basis matrices homology needs.
 
-    Returns (factors, U, Uinv, V, Vinv) where U * M * V is diagonal with
-    the given nonzero invariant factors (each dividing the next, leading
-    1s included) in its upper-left corner, U and V are unimodular, and
-    Uinv, Vinv are their exact inverses.  All five are dense row lists.
+    Returns (factors, Uinv, V, Vinv) where M * V = Uinv * D for the matrix
+    D holding the given nonzero invariant factors (each dividing the next,
+    leading 1s included) in its upper-left corner and zeros elsewhere;
+    Uinv and V are unimodular and Vinv is the exact inverse of V.  All four
+    are dense row lists.
     """
-    transforms = [_identity_rows(M.nrows), _identity_rows(M.nrows),
+    transforms = [_identity_rows(M.nrows),
                   _identity_rows(M.ncols), _identity_rows(M.ncols)]
     factors = _smith(M.to_rows(), transforms)
     return (factors, *transforms)
@@ -507,7 +506,7 @@ def homology_of_pair(d_in: IntMatrix, d_out: IntMatrix, ring: str = "Z",
         # torsion: the factors > 1, which follow the leading 1s of the chain
         return HomologyResult(free_rank, factors_in[factors_in.count(1):], ())
 
-    factors_out, _, _, V1, V1inv = smith_with_transforms(d_out)
+    factors_out, _, V1, V1inv = smith_with_transforms(d_out)
     r_out = len(factors_out)
     k = nmid - r_out  # kernel rank; V1 columns r_out.. are a saturated basis
 
@@ -522,7 +521,7 @@ def homology_of_pair(d_in: IntMatrix, d_out: IntMatrix, ring: str = "Z",
             raise InvariantViolation("image of d_in escapes the kernel of d_out")
     X = IntMatrix.from_rows(coords[r_out:]) if k else IntMatrix(0, d_in.ncols)
 
-    factors_in, _, U2inv, _, _ = smith_with_transforms(X)
+    factors_in, U2inv, _, _ = smith_with_transforms(X)
     m = len(factors_in)
     torsion = factors_in[factors_in.count(1):]
     free_rank = k - m

@@ -25,34 +25,30 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .cech import Resolvent, build_resolvent, canonical_tuple
+from .cech import Resolvent, _FaceTupleFamily, build_resolvent
 from .cells import Cell, homology_cycle_basis
-from .linalg import (
-    IntMatrix,
-    nullspace_rational,
-    quotient_representatives,
-    rank,
-)
+from .linalg import IntMatrix, homology_of_pair, rank
 from .simplicial import SimplicialComplex, face_key
 
 
-class LogCochain:
-    """Alternating face-tuple family of admissible logarithmic r-forms."""
+class LogCochain(_FaceTupleFamily):
+    """Alternating face-tuple family of admissible logarithmic r-forms.
 
-    __slots__ = ("K", "r", "t", "entries")
+    Each entry maps an index set I to the coefficient of dz_I/z_I.
+    """
+
+    __slots__ = ("K", "r")
 
     def __init__(self, K: SimplicialComplex, r: int, t: int):
         if r < 0 or t < 0:
             raise ValueError(f"degrees must be nonnegative, got r={r}, t={t}")
+        super().__init__(t)
         self.K = K
         self.r = r
-        self.t = t
-        self.entries: dict = {}  # canonical tuple -> {index set I: coefficient}
 
     def add(self, faces: tuple, I: tuple, coeff) -> None:
         """Accumulate coeff * dz_I/z_I at the given face tuple."""
-        if len(faces) != self.t + 1:
-            raise ValueError(f"expected {self.t + 1} faces, got {len(faces)}")
+        self._check_length(faces)
         for f in faces:
             if not self.K.has_face(f):
                 raise ValueError(f"{f} is not a face")
@@ -67,27 +63,7 @@ class LogCochain:
         if meet & set(I):
             raise ValueError(
                 f"dz_{I} is not admissible at {faces}: indices meet {sorted(meet)}")
-        arranged, sign = canonical_tuple(faces)
-        if sign == 0 or not coeff:
-            return
-        forms = self.entries.setdefault(arranged, {})
-        v = forms.get(I, 0) + sign * coeff
-        if v:
-            forms[I] = v
-        else:
-            del forms[I]
-            if not forms:
-                del self.entries[arranged]
-
-    def value(self, faces: tuple) -> dict:
-        """Signed value at an arbitrary tuple, as {index set: coefficient}."""
-        arranged, sign = canonical_tuple(faces)
-        if sign == 0:
-            return {}
-        forms = self.entries.get(arranged, {})
-        if sign == 1:
-            return dict(forms)
-        return {I: -v for I, v in forms.items()}
+        self._accumulate(faces, {I: coeff})
 
     def differential(self) -> "LogCochain":
         """Alternating sum over insertions of one more face of the complex."""
@@ -106,9 +82,6 @@ class LogCochain:
                 for I, a in forms.items():
                     out.add(T, I, sign * a)
         return out
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def __eq__(self, other):
         return (
@@ -194,8 +167,7 @@ def log_cohomology_basis(K: SimplicialComplex, r: int, t: int) -> list:
     """
     basis = []
     for I, tuples, d_in, d_out in _blocks(K, r, t):
-        image = [d_in.column(j) for j in range(d_in.ncols)]
-        for vec in quotient_representatives(nullspace_rational(d_out), image):
+        for vec in homology_of_pair(d_in, d_out, ring="Q").representatives:
             w = LogCochain(K, r, t)
             for T, c in zip(tuples, vec):
                 if c:

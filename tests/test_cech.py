@@ -122,6 +122,16 @@ def test_resolvent_rejects_mixed_positions():
         build_resolvent(two_points(), chain)
 
 
+def test_resolvent_rejects_a_position_other_than_the_cycles():
+    K = two_points()
+    with pytest.raises(ValueError, match="position"):
+        build_resolvent(K, sphere_cycle(), p=0, q=1)
+    with pytest.raises(ValueError, match="position"):
+        build_resolvent(K, sphere_cycle(), q=3)
+    res = build_resolvent(K, sphere_cycle(), p=1, q=2)
+    assert (res.p, res.q) == (1, 2)
+
+
 def test_validate_detects_sign_corruption():
     K = two_points()
     res = build_resolvent(K, sphere_cycle())

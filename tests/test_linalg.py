@@ -96,15 +96,13 @@ def test_smith_transforms_are_exact():
     for _ in range(40):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         M = random_matrix(rng, m, n)
-        factors, U, Uinv, V, Vinv = smith_with_transforms(M)
-        D = dense_mul(dense_mul(U, M.to_rows()), V)
-        for i in range(m):
-            for j in range(n):
-                want = factors[i] if i == j and i < len(factors) else 0
-                assert D[i][j] == want
-        eye_m = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+        factors, Uinv, V, Vinv = smith_with_transforms(M)
+        D = [[factors[i] if i == j and i < len(factors) else 0
+              for j in range(n)] for i in range(m)]
+        assert dense_mul(M.to_rows(), V) == dense_mul(Uinv, D)
+        assert all(a > 0 and b % a == 0 for a, b in zip(factors, factors[1:]))
+        assert abs(determinant_rational(Uinv)) == 1
         eye_n = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        assert dense_mul(U, Uinv) == eye_m
         assert dense_mul(V, Vinv) == eye_n
 
 

@@ -1,12 +1,15 @@
 """Tests for the logarithmic cochain engine and the period pairing."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from momentangle import linalg, logforms
 from momentangle.cech import build_resolvent
 from momentangle.cells import Cell, homology_cycle_basis
+from momentangle.errors import CompositionError
 from momentangle.koszul import koszul_cohomology
 from momentangle.linalg import (
     determinant_rational,
@@ -30,6 +33,10 @@ from momentangle.simplicial import SimplicialComplex, enumerate_complexes
 
 def two_points():
     return SimplicialComplex.from_facets(2, [[1], [2]])
+
+
+def square():
+    return SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
 
 
 def test_add_rejects_inadmissible_index_set():
@@ -165,6 +172,55 @@ def test_log_cohomology_matches_block_by_block_reference():
                     == len(want), (K, r, t)
                 got = [w.entries for w in log_cohomology_basis(K, r, t)]
                 assert got == want, (K, r, t)
+
+
+def test_log_cohomology_basis_checks_the_composition(monkeypatch):
+    # the deletion of the first face with the wrong sign: d o d is no
+    # longer zero, and the basis must refuse rather than return cocycles
+    original = logforms._coboundary
+
+    def skewed(source, target):
+        M = original(source, target)
+        index = {T: j for j, T in enumerate(source)}
+        for i, T in enumerate(target):
+            col = index.get(T[1:])
+            if col is not None:
+                M.add(i, col, -2)
+        return M
+
+    monkeypatch.setattr(logforms, "_coboundary", skewed)
+    with pytest.raises(CompositionError):
+        log_cohomology_basis(square(), 2, 1)
+
+
+def count_calls(monkeypatch, name):
+    """Count calls of a linalg function through every package binding."""
+    original = getattr(linalg, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("momentangle")
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_log_cohomology_basis_skips_kernels_of_acyclic_blocks(monkeypatch):
+    K = square()
+    calls = count_calls(monkeypatch, "nullspace_rational")
+    # four nonempty blocks at (r, t) = (1, 1), all with zero cohomology
+    assert len(list(logforms._blocks(K, 1, 1))) == 4
+    assert log_cohomology_basis(K, 1, 1) == []
+    assert calls == []
+    # at (2, 1) only the blocks carrying a class need a kernel
+    carrying = sum(1 for _, tuples, d_in, d_out in logforms._blocks(K, 2, 1)
+                   if len(tuples) - rank(d_out) - rank(d_in))
+    assert len(log_cohomology_basis(K, 2, 1)) == log_cohomology_dim(K, 2, 1) == 2
+    assert len(calls) == carrying < 6
 
 
 def test_integrate_cell():
