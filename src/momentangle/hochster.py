@@ -6,6 +6,12 @@ restriction of the complex to J in degree q - p - 1.  This route never
 touches the cochain algebra, so it cross-checks the algebra engine
 end to end.
 
+Each bidegree is assembled in one pass over the subsets J.  A bidegree
+in which the complex has no face of size q - p is zero outright, with no
+restriction built.  Otherwise restrictions with the same faces in the
+three sizes that the degree q - p - 1 reads share a single cohomology
+solve; the shared results live only as long as that one bidegree.
+
 Reduced cohomology here is augmented: the empty face spans a copy of Z in
 degree -1, so the complex whose only face is the empty one has reduced
 cohomology Z in degree -1 and nothing anywhere else.
@@ -52,11 +58,26 @@ def reduced_cohomology(K: SimplicialComplex, d: int, ring: str = "Z") -> Homolog
 
 
 def hochster_summands(K: SimplicialComplex, p: int, q: int, ring: str = "Z") -> list:
-    """Per-subset contributions to bidegree (-p, 2q): pairs (J, group)."""
+    """Per-subset contributions to bidegree (-p, 2q): pairs (J, group).
+
+    With d = q - p - 1, a restriction K_J has cohomology in degree d only
+    if it has a face of size d + 1, so when K has none every summand is
+    zero and nothing is restricted (this covers p > q too).  Otherwise
+    reduced_cohomology(K_J, d) reads only the faces of K_J of sizes d,
+    d + 1 and d + 2; restrictions that agree on those relabelled faces
+    share one solve, held for the length of this call only.
+    """
+    d = q - p - 1
+    if not K.faces_of_size(d + 1):
+        return []
     out = []
+    solved: dict = {}
     for J in combinations(range(1, K.n + 1), q):
         L = full_subcomplex(K, J)
-        H = reduced_cohomology(L, q - p - 1, ring=ring)
+        key = (L.faces_of_size(d), L.faces_of_size(d + 1), L.faces_of_size(d + 2))
+        H = solved.get(key)
+        if H is None:
+            H = solved[key] = reduced_cohomology(L, d, ring=ring)
         if H.rank or H.torsion:
             out.append((J, H))
     return out

@@ -190,6 +190,8 @@ def koszul_cohomology(K: SimplicialComplex, p: int, q: int, ring: str = "Z",
     Representative vectors are coordinates over koszul_basis(K, p, q).
     """
     middle = koszul_basis(K, p, q)
+    if not middle:
+        return HomologyResult(0, (), ())
     lower = _support_blocks(koszul_basis(K, p - 1, q))
     upper = _support_blocks(koszul_basis(K, p + 1, q))
     zero = Fraction(0) if ring == "Q" else 0

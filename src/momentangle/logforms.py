@@ -12,6 +12,8 @@ cohomology is computed honestly from the block matrices; no shortcut
 through the nerve of the cover is taken anywhere.  Within one call, each
 index set's block is built once, from its tuples at cover degrees t - 1,
 t and t + 1: the incoming and outgoing differentials share the middle.
+Dimensions and bases alike check that each block's two differentials
+compose to zero.
 
 A period pairs one cocycle with the resolvent level of its own cover
 degree, integrating each tuple's form over the matching chain entry; the
@@ -27,6 +29,7 @@ from itertools import combinations
 
 from .cech import Resolvent, _FaceTupleFamily, build_resolvent
 from .cells import Cell, homology_cycle_basis
+from .errors import CompositionError
 from .linalg import IntMatrix, homology_of_pair, rank
 from .simplicial import SimplicialComplex, face_key
 
@@ -120,14 +123,16 @@ def _coboundary(source: list, target: list) -> IntMatrix:
 
     Deleting a face may enlarge the intersection past admissibility; such
     deletions read as zero, which is exactly a missing row index here.
+    The faces of a tuple are distinct, so its deletions are distinct
+    tuples and each entry is written once.
     """
     index = {T: j for j, T in enumerate(source)}
     M = IntMatrix(len(target), len(source))
-    for i, T in enumerate(target):
+    for T, row in zip(target, M.rows):
         for j in range(len(T)):
             col = index.get(T[:j] + T[j + 1:])
             if col is not None:
-                M.add(i, col, -1 if j % 2 else 1)
+                row[col] = -1 if j % 2 else 1
     return M
 
 
@@ -154,9 +159,14 @@ def log_cohomology_dim(K: SimplicialComplex, r: int, t: int) -> int:
     """Dimension of the degree-t cohomology of the form-degree-r complex.
 
     Sums the honest block computations over every r-element index set.
+    Raises CompositionError if some block has d_out * d_in != 0.
     """
-    return sum(len(tuples) - rank(d_out) - rank(d_in)
-               for _, tuples, d_in, d_out in _blocks(K, r, t))
+    total = 0
+    for _, tuples, d_in, d_out in _blocks(K, r, t):
+        if not d_out.matmul(d_in).is_zero():
+            raise CompositionError("d_out * d_in is not zero")
+        total += len(tuples) - rank(d_out) - rank(d_in)
+    return total
 
 
 def log_cohomology_basis(K: SimplicialComplex, r: int, t: int) -> list:

@@ -1,7 +1,10 @@
 """Tests for the vertex-restriction oracle engine."""
 
+from itertools import combinations
+
 import pytest
 
+from momentangle import hochster
 from momentangle.hochster import (
     coboundary_matrix,
     hochster_bigraded,
@@ -10,7 +13,8 @@ from momentangle.hochster import (
     reduced_cohomology,
 )
 from momentangle.koszul import koszul_bigraded
-from momentangle.simplicial import SimplicialComplex, enumerate_complexes
+from momentangle.linalg import invariant_factor_chain
+from momentangle.simplicial import SimplicialComplex, enumerate_complexes, full_subcomplex
 
 
 def projective_plane_six():
@@ -93,6 +97,80 @@ def test_hochster_torsion_in_projective_plane():
     assert (H.rank, H.torsion) == (0, (2,))
 
 
+def square():
+    return SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
+
+
+def count_calls(monkeypatch, name):
+    """Count the engine's calls through its module binding of `name`."""
+    original = getattr(hochster, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hochster, name, counting)
+    return calls
+
+
+def test_hochster_equals_the_plain_sum_over_subsets():
+    # one solve per subset, no sharing and no early exit
+    for n in range(1, 5):
+        for K in enumerate_complexes(n):
+            for q in range(n + 1):
+                for p in range(q + 1):
+                    for ring in ("Z", "Q"):
+                        parts = [reduced_cohomology(full_subcomplex(K, J), q - p - 1, ring=ring)
+                                 for J in combinations(range(1, n + 1), q)]
+                        H = hochster_cohomology(K, p, q, ring=ring)
+                        assert (H.rank, H.torsion) == (
+                            sum(h.rank for h in parts),
+                            invariant_factor_chain(t for h in parts for t in h.torsion),
+                        ), (K, p, q, ring)
+
+
+def test_shared_solves_key_on_the_faces_one_size_up():
+    # the filled triangle (1, 2, 3) has the vertices and edges of the
+    # hollow ones; only its 2-face tells its H^1 apart
+    K = SimplicialComplex.from_facets(4, [[1, 2, 3], [1, 4], [2, 4], [3, 4]])
+    summands = hochster_summands(K, 1, 3)
+    assert [J for J, _ in summands] == [(1, 2, 4), (1, 3, 4), (2, 3, 4)]
+    assert all((H.rank, H.torsion) == (1, ()) for _, H in summands)
+
+
+def test_one_solve_per_distinct_restriction(monkeypatch):
+    K = projective_plane_six()
+    restricts = count_calls(monkeypatch, "full_subcomplex")
+    solves = count_calls(monkeypatch, "reduced_cohomology")
+    shared = 0
+    for p, q in ((0, 2), (1, 3), (1, 4), (2, 5), (3, 6)):
+        d = q - p - 1
+        keys = set()
+        for J in combinations(range(1, 7), q):
+            L = full_subcomplex(K, J)
+            keys.add((L.faces_of_size(d), L.faces_of_size(d + 1), L.faces_of_size(d + 2)))
+        restricts.clear()
+        solves.clear()
+        hochster_cohomology(K, p, q)
+        # both bindings are still on the engine's path
+        assert len(restricts) == len(list(combinations(range(1, 7), q)))
+        assert len(solves) == len(keys), (p, q)
+        shared += len(restricts) - len(solves)
+    assert shared > 0
+
+
+def test_bidegree_without_faces_restricts_nothing(monkeypatch):
+    restricts = count_calls(monkeypatch, "full_subcomplex")
+    solves = count_calls(monkeypatch, "reduced_cohomology")
+    # the square has no face of size 4
+    H = hochster_cohomology(square(), 0, 4)
+    assert (H.rank, H.torsion) == (0, ())
+    assert restricts == [] and solves == []
+    assert hochster_summands(square(), 3, 2) == []
+    assert restricts == [] and solves == []
+
+
 def test_engines_agree_on_all_three_vertex_complexes():
     for K in enumerate_complexes(3):
         a = {k: (v.rank, v.torsion) for k, v in koszul_bigraded(K).items()}
@@ -109,6 +187,9 @@ def test_engines_agree_on_all_five_vertex_complexes():
         a = {k: (v.rank, v.torsion) for k, v in koszul_bigraded(K).items()}
         b = {k: (v.rank, v.torsion) for k, v in hochster_bigraded(K).items()}
         assert a == b, f"engines disagree on {K!r}"
+        a = {k: v.rank for k, v in koszul_bigraded(K, "Q").items()}
+        b = {k: v.rank for k, v in hochster_bigraded(K, "Q").items()}
+        assert a == b, f"engines disagree over Q on {K!r}"
     assert count == 7580
 
 

@@ -1,6 +1,7 @@
 """Tests for the cochain algebra engine."""
 
 import copy
+import hashlib
 import pickle
 import random
 from itertools import combinations
@@ -20,7 +21,7 @@ from momentangle.koszul import (
     koszul_cohomology,
     koszul_differential,
 )
-from momentangle.linalg import quotient_representatives
+from momentangle.linalg import HomologyResult, quotient_representatives
 from momentangle.simplicial import SimplicialComplex, enumerate_complexes
 
 
@@ -252,6 +253,49 @@ def test_differential_leaving_its_block_is_caught(monkeypatch):
     for want in (True, False):
         with pytest.raises(InvariantViolation):
             koszul_cohomology(K, 1, 2, want_representatives=want)
+
+
+def test_cohomology_of_all_small_complexes_is_pinned():
+    # rank, torsion and representatives over Z and Q at every p <= q <= n
+    # for every complex with n <= 3, hashed; the digest was recorded before
+    # empty middle bases returned early, so that exit changes no result
+    digest = hashlib.sha256()
+    for n in (1, 2, 3):
+        for K in enumerate_complexes(n):
+            for q in range(n + 1):
+                for p in range(q + 1):
+                    for ring in ("Z", "Q"):
+                        H = koszul_cohomology(K, p, q, ring=ring)
+                        digest.update(repr((H.rank, H.torsion, H.representatives)).encode())
+    assert digest.hexdigest() == \
+        "52b2ca3f84185a14deb8d70192eaac6e29d8424c6099231639fe9cf5fe91a488"
+
+
+def test_empty_middle_basis_builds_no_neighbour(monkeypatch):
+    real = koszul.koszul_basis
+    calls = []
+
+    def counting(K, p, q):
+        calls.append((p, q))
+        return real(K, p, q)
+
+    monkeypatch.setattr(koszul, "koszul_basis", counting)
+    # no face of size 3, while the upper basis at (1, 3) is not empty
+    K = square()
+    assert real(K, 0, 3) == () and real(K, 1, 3)
+    assert koszul_cohomology(K, 0, 3) == HomologyResult(0, (), ())
+    assert calls == [(0, 3)]
+    for n in (1, 2, 3):
+        for K in enumerate_complexes(n):
+            for q in range(n + 1):
+                for p in range(q + 1):
+                    if real(K, p, q):
+                        continue
+                    calls.clear()
+                    for ring in ("Z", "Q"):
+                        assert koszul_cohomology(K, p, q, ring=ring) == \
+                            HomologyResult(0, (), ())
+                    assert calls == [(p, q)] * 2
 
 
 def test_rational_ranks_match_integer():

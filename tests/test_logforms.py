@@ -174,9 +174,8 @@ def test_log_cohomology_matches_block_by_block_reference():
                 assert got == want, (K, r, t)
 
 
-def test_log_cohomology_basis_checks_the_composition(monkeypatch):
-    # the deletion of the first face with the wrong sign: d o d is no
-    # longer zero, and the basis must refuse rather than return cocycles
+def skew_first_deletion(monkeypatch):
+    """Give the deletion of the first face the wrong sign, so d o d != 0."""
     original = logforms._coboundary
 
     def skewed(source, target):
@@ -189,8 +188,20 @@ def test_log_cohomology_basis_checks_the_composition(monkeypatch):
         return M
 
     monkeypatch.setattr(logforms, "_coboundary", skewed)
+
+
+def test_log_cohomology_basis_checks_the_composition(monkeypatch):
+    # the basis must refuse rather than return cocycles
+    skew_first_deletion(monkeypatch)
     with pytest.raises(CompositionError):
         log_cohomology_basis(square(), 2, 1)
+
+
+def test_log_cohomology_dim_checks_the_composition(monkeypatch):
+    # unchecked, the skewed blocks read a negative dimension here
+    skew_first_deletion(monkeypatch)
+    with pytest.raises(CompositionError):
+        log_cohomology_dim(square(), 2, 1)
 
 
 def count_calls(monkeypatch, name):
