@@ -20,8 +20,6 @@ from .cells import (
     cell_boundary,
     cell_homology,
     homology_cycle_basis,
-    pair_element_chain,
-    phi_pairing,
 )
 from .errors import CompositionError, InvariantViolation, ParseError
 from .hochster import (
@@ -32,9 +30,7 @@ from .hochster import (
     reduced_cohomology,
 )
 from .koszul import (
-    Bidegree,
     KoszulMonomial,
-    apply_differential,
     differential_matrix,
     koszul_basis,
     koszul_bigraded,
@@ -85,7 +81,6 @@ from .simplicial import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "Bidegree",
     "BettiTable",
     "CechChain",
     "Cell",
@@ -101,7 +96,6 @@ __all__ = [
     "Resolvent",
     "SimplicialComplex",
     "apply_boundary",
-    "apply_differential",
     "betti_table",
     "block_matrix",
     "block_tuples",
@@ -135,15 +129,14 @@ __all__ = [
     "log_cohomology_dim",
     "make_face",
     "mixed_hodge_numbers",
-    "pair_element_chain",
     "parse_complex",
     "period_matrix",
     "period_of_cycle",
-    "phi_pairing",
     "rank",
     "reduced_cohomology",
     "render_betti",
     "render_report",
     "report_payload",
     "smith_normal_form",
+    "validate_resolvent",
 ]

@@ -7,10 +7,12 @@ the number of discs plus the number of circles.  Taking the boundary of
 one disc factor turns it into a circle, so the boundary operator fixes
 q = |disks| + |circles| while raising p = |circles| by one.
 
-The pairing with the cochain algebra matches the monomial with odd part I
-and even part J against the cell with circles I and disks J; under that
-matching the algebra differential and the cell boundary are transposes of
-one another, which the tests check entry by entry.
+The cells are labelled like the monomials of the cochain algebra: the
+monomial with odd part I and even part J matches the cell with circles I
+and disks J.  Under that matching the algebra differential and the cell
+boundary are transposes of one another, which the tests check entry by
+entry; this module builds its boundary on its own and imports nothing
+from the algebra.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .koszul import KoszulMonomial
 from .linalg import HomologyResult, IntMatrix, homology_of_pair
 from .simplicial import SimplicialComplex, face_key
 
@@ -126,17 +127,3 @@ def homology_cycle_basis(K: SimplicialComplex, p: int, q: int) -> list:
         {c: v for c, v in zip(basis, vec) if v}
         for vec in H.representatives
     ]
-
-
-def phi_pairing(m: KoszulMonomial, c: Cell) -> int:
-    """Evaluation of the cochain monomial on the cell: 1 on its partner, else 0."""
-    return 1 if m.face == c.disks and m.exterior == c.circles else 0
-
-
-def pair_element_chain(element: dict, chain: CellChain):
-    """Bilinear extension of the evaluation pairing."""
-    total = 0
-    for m, a in element.items():
-        c = Cell(m.face, m.exterior)
-        total += a * chain.get(c, 0)
-    return total

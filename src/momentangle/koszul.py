@@ -7,8 +7,11 @@ the differential sends each odd generator to its even partner.  A monomial
 is determined by the set of odd indices (`exterior`) and the set of even
 indices (`face`), which must be disjoint.  The monomial with exterior set
 of size p and face of size q - p sits in bidegree (-p, 2q); this module
-keys everything by the pair (p, q) of nonnegative integers and the chain
-convention is that the differential lowers p by one while fixing q.
+keys everything by the plain pair (p, q) of nonnegative integers and the
+chain convention is that the differential lowers p by one while fixing q.
+koszul_differential returns the image of one monomial as a plain dict
+from monomials to coefficients; the engine reads it only through the
+block matrices.
 
 A KoszulMonomial is a tuple pair (exterior, face), so it hashes and
 compares like one and equals the plain pair (I, J).  Its public
@@ -27,7 +30,6 @@ representatives are requested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -36,19 +38,6 @@ from operator import itemgetter
 from .errors import InvariantViolation
 from .linalg import HomologyResult, IntMatrix, homology_of_pair, invariant_factor_chain
 from .simplicial import SimplicialComplex
-
-
-@dataclass(frozen=True, order=True)
-class Bidegree:
-    """Cohomological position (-p, 2q), stored as nonnegative (p, q)."""
-
-    p: int
-    q: int
-
-    @property
-    def total(self) -> int:
-        """Total cohomological degree 2q - p."""
-        return 2 * self.q - self.p
 
 
 class KoszulMonomial(tuple):
@@ -71,20 +60,12 @@ class KoszulMonomial(tuple):
     exterior = property(itemgetter(0))
     face = property(itemgetter(1))
 
-    def bidegree(self) -> Bidegree:
-        p = len(self[0])
-        return Bidegree(p, p + len(self[1]))
-
     def __repr__(self):
         return f"KoszulMonomial(exterior={self[0]!r}, face={self[1]!r})"
 
 
 # builds a monomial from a pair (I, J) known to be disjoint, skipping the check
 _monomial = partial(tuple.__new__, KoszulMonomial)
-
-
-# a cochain is a finite integer combination of monomials
-KoszulElement = dict
 
 
 def koszul_basis(K: SimplicialComplex, p: int, q: int) -> tuple:
@@ -107,13 +88,13 @@ def koszul_basis(K: SimplicialComplex, p: int, q: int) -> tuple:
     return tuple([_monomial(pair) for pair in pairs])
 
 
-def koszul_differential(K: SimplicialComplex, m: KoszulMonomial) -> KoszulElement:
+def koszul_differential(K: SimplicialComplex, m: KoszulMonomial) -> dict:
     """Differential of a monomial, as a monomial-to-coefficient dict.
 
     Each odd index moves to the even side with an alternating sign; terms
     whose new even support is not a face of K are relations and vanish.
     """
-    out: KoszulElement = {}
+    out: dict = {}
     I, J = m
     faces = K.faces
     for k, i in enumerate(I, start=1):
@@ -126,21 +107,6 @@ def koszul_differential(K: SimplicialComplex, m: KoszulMonomial) -> KoszulElemen
         out[term] = out.get(term, 0) + sign
         if not out[term]:
             del out[term]
-    return out
-
-
-def apply_differential(K: SimplicialComplex, element: KoszulElement) -> KoszulElement:
-    """Extend the differential linearly to a combination of monomials."""
-    out: KoszulElement = {}
-    for m, c in element.items():
-        if not c:
-            continue
-        for term, sign in koszul_differential(K, m).items():
-            v = out.get(term, 0) + c * sign
-            if v:
-                out[term] = v
-            else:
-                del out[term]
     return out
 
 

@@ -10,13 +10,13 @@ elimination: rank, nullspace_rational, quotient_representatives and
 determinant_rational are thin entry points over it.  Over Z one dense
 Smith elimination serves smith_normal_form (the invariant factors alone)
 and smith_with_transforms (with the three change-of-basis matrices that
-homology representatives read);
-homology_of_pair pays for the transforms only when integer
-representatives are requested.  The two transform-free eliminations,
-rank and smith_normal_form, first split off every ±1 pivot with sparse
-integer row operations (Dumas, Saunders and Villard, JSC 2001): each is
-one invariant factor 1 and one unit of rank, and only the residue they
-leave goes on to the echelon or the dense Smith form.
+homology representatives read).  homology_of_pair pays for the
+transforms only when integer representatives are requested, and applies
+them with sparse IntMatrix.matmul products.  The two transform-free
+eliminations, rank and smith_normal_form, first split off every ±1 pivot
+with sparse integer row operations (Dumas, Saunders and Villard, JSC
+2001): each is one invariant factor 1 and one unit of rank, and only the
+residue they leave goes on to the echelon or the dense Smith form.
 invariant_factor_chain merges torsion orders into their divisibility
 chain by pairwise gcd and lcm, so no integer is ever factored.
 """
@@ -67,17 +67,6 @@ class IntMatrix:
                     M.rows[i][j] = v
         return M
 
-    @classmethod
-    def from_columns(cls, nrows: int, columns: list) -> "IntMatrix":
-        M = cls(nrows, len(columns))
-        for j, col in enumerate(columns):
-            if len(col) != nrows:
-                raise ValueError("column length mismatch")
-            for i, v in enumerate(col):
-                if v:
-                    M.rows[i][j] = v
-        return M
-
     def to_rows(self) -> list:
         return [
             [row.get(j, 0) for j in range(self.ncols)]
@@ -86,13 +75,6 @@ class IntMatrix:
 
     def column(self, j: int) -> tuple:
         return tuple([self.rows[i].get(j, 0) for i in range(self.nrows)])
-
-    def transpose(self) -> "IntMatrix":
-        T = IntMatrix(self.ncols, self.nrows)
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                T.rows[j][i] = v
-        return T
 
     def matmul(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
@@ -472,7 +454,8 @@ def homology_of_pair(d_in: IntMatrix, d_out: IntMatrix, ring: str = "Z",
     nmid - rank(d_out) - rank(d_in), both ranks counted from invariant
     factors, and the torsion is that of coker(d_in), because ker(d_out) is
     saturated.  With representatives, the Smith transforms of d_out give a
-    kernel basis and those of d_in in kernel coordinates give the classes.
+    kernel basis and those of d_in in kernel coordinates give the classes;
+    both coordinate changes are sparse products.
 
     Raises CompositionError unless d_out * d_in = 0, and InvariantViolation
     if the image fails to land in the kernel coordinates (which would mean
@@ -510,29 +493,22 @@ def homology_of_pair(d_in: IntMatrix, d_out: IntMatrix, ring: str = "Z",
     r_out = len(factors_out)
     k = nmid - r_out  # kernel rank; V1 columns r_out.. are a saturated basis
 
-    # image of d_in in kernel coordinates
-    coords = [
-        [sum(V1inv[i][l] * d_in.entry(l, j) for l in range(nmid))
-         for j in range(d_in.ncols)]
-        for i in range(nmid)
-    ]
-    for i in range(r_out):
-        if any(coords[i]):
-            raise InvariantViolation("image of d_in escapes the kernel of d_out")
-    X = IntMatrix.from_rows(coords[r_out:]) if k else IntMatrix(0, d_in.ncols)
+    # image of d_in in kernel coordinates: the rows below r_out
+    coords = IntMatrix.from_rows(V1inv).matmul(d_in)
+    if any(coords.rows[:r_out]):
+        raise InvariantViolation("image of d_in escapes the kernel of d_out")
+    X = IntMatrix(k, d_in.ncols)
+    X.rows = coords.rows[r_out:]
 
     factors_in, U2inv, _, _ = smith_with_transforms(X)
     m = len(factors_in)
     torsion = factors_in[factors_in.count(1):]
-    free_rank = k - m
 
-    # kernel basis in middle coordinates: columns r_out.. of V1
-    reps = [
-        tuple([sum(V1[i][r_out + l] * U2inv[l][col] for l in range(k))
-               for i in range(nmid)])
-        for col in range(m, k)
-    ]
-    return HomologyResult(free_rank, torsion, tuple(reps))
+    # the kernel basis, columns r_out.. of V1, recombined by U2inv
+    cycles = IntMatrix.from_rows([row[r_out:] for row in V1]).matmul(
+        IntMatrix.from_rows(U2inv))
+    reps = tuple([cycles.column(col) for col in range(m, k)])
+    return HomologyResult(k - m, torsion, reps)
 
 
 def invariant_factor_chain(factors) -> tuple:

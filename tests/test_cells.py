@@ -13,15 +13,13 @@ from momentangle.cells import (
     cell_boundary,
     cell_homology,
     homology_cycle_basis,
-    pair_element_chain,
-    phi_pairing,
 )
 from momentangle.koszul import (
     KoszulMonomial,
-    apply_differential,
     differential_matrix,
     koszul_basis,
     koszul_cohomology,
+    koszul_differential,
 )
 from momentangle.linalg import homology_of_pair
 from momentangle.simplicial import SimplicialComplex, enumerate_complexes
@@ -115,13 +113,6 @@ def test_homology_ranks_match_cochain_engine():
                 assert hc.rank == ha.rank, (K, p, q)
 
 
-def test_phi_pairing_matches_labels():
-    m = KoszulMonomial((1,), (2,))
-    assert phi_pairing(m, Cell((2,), (1,))) == 1
-    assert phi_pairing(m, Cell((1,), (2,))) == 0
-    assert phi_pairing(m, Cell((2,), ())) == 0
-
-
 def test_boundary_matrix_is_transpose_of_differential():
     # under the label pairing, <d(m), c> = <m, boundary(c)> becomes a
     # transpose relation between the two matrices
@@ -149,8 +140,8 @@ def test_adjointness_hand_sample():
     K = two_points()
     m = KoszulMonomial((1, 2), ())
     c = Cell((1,), (2,))
-    lhs = pair_element_chain(apply_differential(K, {m: 1}), {c: 1})
-    rhs = pair_element_chain({m: 1}, cell_boundary(c))
+    lhs = koszul_differential(K, m).get((c.circles, c.disks), 0)
+    rhs = cell_boundary(c).get(Cell(m[1], m[0]), 0)
     assert lhs == rhs == 1
 
 
@@ -167,8 +158,8 @@ def test_adjointness_randomized():
             continue
         m = rng.choice(monomials)
         c = rng.choice(cells)
-        lhs = pair_element_chain(apply_differential(K, {m: 1}), {c: 1})
-        rhs = pair_element_chain({m: 1}, cell_boundary(c))
+        lhs = koszul_differential(K, m).get((c.circles, c.disks), 0)
+        rhs = cell_boundary(c).get(Cell(m[1], m[0]), 0)
         assert lhs == rhs, (K, m, c)
 
 

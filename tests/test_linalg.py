@@ -6,7 +6,9 @@ from itertools import permutations
 
 import pytest
 
-from momentangle.errors import CompositionError
+from momentangle import linalg
+from momentangle.cells import boundary_matrix
+from momentangle.errors import CompositionError, InvariantViolation
 from momentangle.koszul import _matrix, _support_blocks, koszul_basis
 from momentangle.linalg import (
     HomologyResult,
@@ -20,7 +22,7 @@ from momentangle.linalg import (
     smith_normal_form,
     smith_with_transforms,
 )
-from momentangle.simplicial import enumerate_complexes
+from momentangle.simplicial import SimplicialComplex, enumerate_complexes
 
 
 def random_matrix(rng, nrows, ncols, lo=-3, hi=3, density=0.6):
@@ -45,11 +47,10 @@ def dense_mul(A, B):
     ]
 
 
-def test_matmul_and_transpose():
+def test_matmul():
     A = IntMatrix.from_rows([[1, 2], [3, 4]])
     B = IntMatrix.from_rows([[0, 1], [1, 0]])
     assert A.matmul(B).to_rows() == [[2, 1], [4, 3]]
-    assert A.transpose().to_rows() == [[1, 3], [2, 4]]
 
 
 def test_rank_examples():
@@ -255,7 +256,7 @@ def test_homology_rational_matches_integer_rank():
         mid = rng.randint(1, 5)
         d_out = random_matrix(rng, rng.randint(0, 4), mid)
         cols = integral_kernel_columns(rng, d_out)
-        d_in = IntMatrix.from_columns(mid, cols) if cols else IntMatrix(mid, 0)
+        d_in = IntMatrix.from_rows(list(zip(*cols))) if cols else IntMatrix(mid, 0)
         HZ = homology_of_pair(d_in, d_out, ring="Z")
         HQ = homology_of_pair(d_in, d_out, ring="Q")
         assert HQ.rank == HZ.rank
@@ -274,7 +275,7 @@ def test_representatives_are_independent_cycles():
         mid = rng.randint(1, 5)
         d_out = random_matrix(rng, rng.randint(0, 4), mid)
         cols = integral_kernel_columns(rng, d_out)
-        d_in = IntMatrix.from_columns(mid, cols) if cols else IntMatrix(mid, 0)
+        d_in = IntMatrix.from_rows(list(zip(*cols))) if cols else IntMatrix(mid, 0)
         H = homology_of_pair(d_in, d_out)
         for v in H.representatives:
             image = [d_out.entry(i, 0) * 0 for i in range(d_out.nrows)]
@@ -287,6 +288,77 @@ def test_representatives_are_independent_cycles():
             [d_in.column(j) for j in range(d_in.ncols)],
         )
         assert len(reps) == H.rank
+
+
+def dense_integral_homology(d_in, d_out):
+    """(H, k, m): the integral homology by dense sums over the Smith
+    transforms, the kernel rank k of d_out and the rank m of the image of
+    d_in in kernel coordinates."""
+    factors_out, _, V1, V1inv = smith_with_transforms(d_out)
+    r_out = len(factors_out)
+    nmid = d_in.nrows
+    k = nmid - r_out
+    coords = [[sum(V1inv[i][l] * d_in.entry(l, j) for l in range(nmid))
+               for j in range(d_in.ncols)]
+              for i in range(nmid)]
+    assert not any(any(row) for row in coords[:r_out])
+    X = IntMatrix.from_rows(coords[r_out:]) if k else IntMatrix(0, d_in.ncols)
+    factors_in, U2inv, _, _ = smith_with_transforms(X)
+    m = len(factors_in)
+    reps = tuple(
+        tuple(sum(V1[i][r_out + l] * U2inv[l][col] for l in range(k)) for i in range(nmid))
+        for col in range(m, k))
+    return HomologyResult(k - m, factors_in[factors_in.count(1):], reps), k, m
+
+
+def integral_pairs():
+    """Cell boundary pairs at every bidegree of every complex with n = 3 and
+    of RP^2 on 6 vertices, random pairs with d_out * d_in = 0, and the two
+    extremes: an injective d_out (k = 0) and a d_in onto a finite-index
+    sublattice of the kernel (m = k)."""
+    rp2 = SimplicialComplex.from_facets(6, [
+        [1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
+        [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6]])
+    for K in [*enumerate_complexes(3), rp2]:
+        for q in range(K.n + 1):
+            for p in range(q + 1):
+                yield boundary_matrix(K, p - 1, q), boundary_matrix(K, p, q)
+    rng = random.Random(43)
+    for _ in range(150):
+        mid = rng.randint(1, 6)
+        d_out = random_matrix(rng, rng.randint(0, 5), mid)
+        cols = integral_kernel_columns(rng, d_out)
+        if len(cols) > 1:  # one more column, an integer combination of two
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            cols.append([a * x + b * y for x, y in zip(cols[0], cols[-1])])
+        yield IntMatrix.from_rows(list(zip(*cols))) if cols else IntMatrix(mid, 0), d_out
+    yield IntMatrix(2, 0), IntMatrix.from_rows([[1, 0], [0, 1]])
+    yield IntMatrix.from_rows([[2, 0], [0, 1]]), IntMatrix(0, 2)
+
+
+def test_integer_representatives_match_dense_reference():
+    # the sparse products give the integers of the dense sums exactly
+    injective = onto = 0
+    for d_in, d_out in integral_pairs():
+        want, k, m = dense_integral_homology(d_in, d_out)
+        assert homology_of_pair(d_in, d_out) == want, (d_in.to_rows(), d_out.to_rows())
+        injective += k == 0 < d_in.nrows
+        onto += 0 < k == m
+    assert injective and onto
+
+
+def test_homology_catches_an_image_outside_the_kernel(monkeypatch):
+    # d_in = e2 spans ker [1 0]; a coordinate change with its rows swapped
+    # sends the image to the pivot row, which the kernel coordinates lack
+    real = linalg.smith_with_transforms
+
+    def swapped(M):
+        factors, Uinv, V, Vinv = real(M)
+        return factors, Uinv, V, Vinv[::-1]
+
+    monkeypatch.setattr(linalg, "smith_with_transforms", swapped)
+    with pytest.raises(InvariantViolation):
+        homology_of_pair(IntMatrix.from_rows([[0], [1]]), IntMatrix.from_rows([[1, 0]]))
 
 
 def test_nullspace_rational():
@@ -336,8 +408,8 @@ def test_echelon_entry_points_random():
         # free columns of the reduced row echelon form: those that do not
         # raise the rank of the columns to their left
         free = [f for f in range(n)
-                if rank(IntMatrix.from_columns(m, [M.column(j) for j in range(f + 1)]))
-                == rank(IntMatrix.from_columns(m, [M.column(j) for j in range(f)]))]
+                if rank(IntMatrix.from_rows([row[:f + 1] for row in dense]))
+                == rank(IntMatrix.from_rows([row[:f] for row in dense]))]
         assert len(free) == len(kernel)
         for f, v in zip(free, kernel):
             assert [v[g] for g in free] == [1 if g == f else 0 for g in free]
