@@ -9,12 +9,16 @@ the differential is the usual alternating sum over face deletions (values
 at tuples that violate admissibility read as zero), and the form indices
 never mix, so the complex splits into one block per index set.  Block
 cohomology is computed honestly from the block matrices; no shortcut
-through the nerve of the cover is taken anywhere.  Within one call, each
-index set's block is built once, from its tuples at cover degrees t - 1,
-t and t + 1: the incoming and outgoing differentials share the middle.
-Dimensions and bases alike read each block through homology_of_pair over
-Q (ranks only for a dimension), which checks that the block's two
-differentials compose to zero.
+through the nerve of the cover is taken anywhere.  One call enumerates the
+tuples of cover degrees t - 1, t and t + 1 once, each with the vertex set
+of its meet, and builds the two face-deletion matrices between those
+levels once; an index set's block is their submatrix on the tuples whose
+meet misses it.  Index sets that cut the union of all those meets in the
+same vertices admit the same tuples, so their blocks are equal: each
+distinct block is built and solved once per call, and nothing is kept
+after the call.  Dimensions and bases alike read each block through
+homology_of_pair over Q (ranks only for a dimension), which checks that
+the block's two differentials compose to zero.
 
 A period pairs one cocycle with the resolvent level of its own cover
 degree, integrating each tuple's form over the matching chain entry; the
@@ -26,7 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import chain, combinations
+from operator import and_, or_
 
 from .cech import Resolvent, _FaceTupleFamily, build_resolvent
 from .cells import Cell, homology_cycle_basis
@@ -141,40 +147,73 @@ def block_matrix(K: SimplicialComplex, I: tuple, t: int) -> IntMatrix:
     return _coboundary(block_tuples(K, I, t), block_tuples(K, I, t + 1))
 
 
-def _blocks(K: SimplicialComplex, r: int, t: int):
-    """(I, tuples, d_in, d_out) for each r-set I with a nonempty degree-t block.
+def _restrict(M: IntMatrix, rows: list, cols: list) -> IntMatrix:
+    """Submatrix of M on the given ascending row and column indices."""
+    where = {j: k for k, j in enumerate(cols)}
+    out = IntMatrix(len(rows), len(cols))
+    out.rows = [{where[j]: v for j, v in M.rows[i].items() if j in where}
+                for i in rows]
+    return out
 
-    Each block is built once, from its tuples at levels t - 1, t and t + 1;
-    at t = 0 the incoming differential has no columns.
+
+def _blocks(K: SimplicialComplex, r: int, t: int):
+    """(index_sets, tuples, d_in, d_out) for each distinct nonempty degree-t block.
+
+    The tuples of levels t - 1, t and t + 1 are enumerated once, as
+    block_tuples(K, (), s), with the bitmask of each tuple's meet, and the
+    face-deletion matrices from level t - 1 to t and from t to t + 1 are
+    built once.  The block of an r-set I is their submatrix on the tuples
+    whose meet misses I, in ascending order, which is block_tuples(K, I, t),
+    block_matrix(K, I, t - 1) and block_matrix(K, I, t); at t = 0 the
+    incoming differential has no columns.  r-sets that cut the union of
+    the meets on the three levels in the same vertices admit the same
+    tuples on every level, so they share one block, yielded once with all
+    of them in ascending order; blocks come in the order of their first
+    r-set.
     """
+    mask = {f: sum(1 << v for v in f) for f in K.faces_sorted()}
+    below, middle, above = levels = [block_tuples(K, (), s) for s in (t - 1, t, t + 1)]
+    meets = [[reduce(and_, map(mask.get, T)) for T in level] for level in levels]
+    full_in = _coboundary(below, middle)
+    full_out = _coboundary(middle, above)
+    meet_vertices = reduce(or_, chain.from_iterable(meets), 0)
+    groups = {}
     for I in combinations(range(1, K.n + 1), r):
-        tuples = block_tuples(K, I, t)
-        if tuples:
-            yield (I, tuples,
-                   _coboundary(block_tuples(K, I, t - 1), tuples),
-                   _coboundary(tuples, block_tuples(K, I, t + 1)))
+        groups.setdefault(sum(1 << v for v in I) & meet_vertices, []).append(I)
+    for key, index_sets in groups.items():
+        low, mid, high = ([i for i, m in enumerate(level) if not m & key]
+                          for level in meets)
+        if mid:
+            yield (index_sets, [middle[i] for i in mid],
+                   _restrict(full_in, mid, low), _restrict(full_out, high, mid))
 
 
 def log_cohomology_dim(K: SimplicialComplex, r: int, t: int) -> int:
     """Dimension of the degree-t cohomology of the form-degree-r complex.
 
     Sums the rational homology ranks of the blocks over every r-element
-    index set; homology_of_pair raises CompositionError if some block has
-    d_out * d_in != 0.
+    index set, solving each distinct block once; homology_of_pair raises
+    CompositionError if some block has d_out * d_in != 0.
     """
-    return sum(homology_of_pair(d_in, d_out, ring="Q", want_representatives=False).rank
-               for _, _, d_in, d_out in _blocks(K, r, t))
+    return sum(len(index_sets) * homology_of_pair(d_in, d_out, ring="Q",
+                                                  want_representatives=False).rank
+               for index_sets, _, d_in, d_out in _blocks(K, r, t))
 
 
 def log_cohomology_basis(K: SimplicialComplex, r: int, t: int) -> list:
     """Cocycle representatives of a basis of the degree-t cohomology.
 
     Each representative is concentrated in a single index set (the
-    complex splits), with exact rational coefficients.
+    complex splits), with exact rational coefficients; index sets come in
+    ascending order, and each distinct block is solved once.
     """
+    found = []
+    for index_sets, tuples, d_in, d_out in _blocks(K, r, t):
+        reps = homology_of_pair(d_in, d_out, ring="Q").representatives
+        found += [(I, tuples, reps) for I in index_sets]
     basis = []
-    for I, tuples, d_in, d_out in _blocks(K, r, t):
-        for vec in homology_of_pair(d_in, d_out, ring="Q").representatives:
+    for I, tuples, reps in sorted(found, key=lambda f: f[0]):
+        for vec in reps:
             w = LogCochain(K, r, t)
             for T, c in zip(tuples, vec):
                 if c:

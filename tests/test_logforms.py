@@ -234,6 +234,36 @@ def test_log_cohomology_basis_skips_kernels_of_acyclic_blocks(monkeypatch):
     assert len(calls) == carrying < 6
 
 
+def test_blocks_are_the_per_index_set_blocks():
+    # every t up to the face count, so both t = 0 (no incoming columns) and
+    # the top level (no outgoing rows) come up; n = 4 stops at 7 faces
+    targets = [K for n in (1, 2, 3) for K in enumerate_complexes(n)]
+    targets += [K for K in enumerate_complexes(4) if len(K.faces) <= 7]
+    for K in targets:
+        for r in range(K.n + 1):
+            for t in range(len(K.faces) + 1):
+                got = {I: (tuples, d_in, d_out)
+                       for index_sets, tuples, d_in, d_out in logforms._blocks(K, r, t)
+                       for I in index_sets}
+                assert sorted(got) == [I for I in combinations(range(1, K.n + 1), r)
+                                       if block_tuples(K, I, t)], (K, r, t)
+                for I, block in got.items():
+                    assert block == (block_tuples(K, I, t), block_matrix(K, I, t - 1),
+                                     block_matrix(K, I, t)), (K, r, t, I)
+
+
+def test_equal_blocks_share_one_solve(monkeypatch):
+    # vertices 3 and 4 lie in no face, so index sets differing only there
+    # admit the same tuples on every level and are solved once
+    K = SimplicialComplex.from_facets(4, [[1], [2]])
+    r, t = 2, 1
+    blocks = list(logforms._blocks(K, r, t))
+    index_sets = sum(len(b[0]) for b in blocks)
+    calls = count_calls(monkeypatch, "homology_of_pair")
+    assert log_cohomology_dim(K, r, t) == _reference_dim(K, r, t)
+    assert len(calls) == len(blocks) < index_sets
+
+
 def test_integrate_cell():
     assert integrate_cell((1, 2), Cell((), (1, 2))) == Period(Fraction(1), 2)
     assert integrate_cell((1, 2), Cell((), (1, 3))).is_zero()

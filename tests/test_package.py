@@ -1,8 +1,14 @@
-"""The package's export list matches what it binds."""
+"""The package's export list matches what it binds, and its engines stay apart."""
 
+import ast
 import types
+from pathlib import Path
+
+import pytest
 
 import momentangle
+
+PACKAGE = Path(momentangle.__file__).resolve().parent
 
 
 def test_all_lists_exactly_the_public_names():
@@ -14,3 +20,38 @@ def test_all_lists_exactly_the_public_names():
     public = {name for name, value in vars(momentangle).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(names) == public
+
+
+def package_imports(module: str) -> set:
+    """Names of the package modules that one module's source imports."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, rest = alias.name.partition(".")
+                if head == "momentangle" and rest:
+                    found.add(rest.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = node.module
+            elif node.module and node.module.startswith("momentangle"):
+                base = node.module.partition(".")[2] or None
+            else:
+                continue
+            if base:
+                found.add(base.split(".")[0])
+            else:  # from . import x, from momentangle import x
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+# disagreement between engines is a bug only if no engine borrows another's
+# construction
+@pytest.mark.parametrize("module, others", [
+    ("koszul", {"hochster", "logforms", "cells"}),
+    ("hochster", {"koszul", "logforms"}),
+    ("logforms", {"koszul", "hochster"}),
+])
+def test_engines_import_no_other_engine(module, others):
+    assert not package_imports(module) & others
