@@ -30,7 +30,6 @@ from .hochster import (
     reduced_cohomology,
 )
 from .koszul import (
-    KoszulMonomial,
     differential_matrix,
     koszul_basis,
     koszul_bigraded,
@@ -89,7 +88,6 @@ __all__ = [
     "HomologyResult",
     "IntMatrix",
     "InvariantViolation",
-    "KoszulMonomial",
     "LogCochain",
     "ParseError",
     "Period",

@@ -106,8 +106,8 @@ def boundary_matrix(K: SimplicialComplex, p: int, q: int) -> IntMatrix:
     index = {c: i for i, c in enumerate(target)}
     M = IntMatrix(len(target), len(source))
     for j, c in enumerate(source):
-        for term, sign in cell_boundary(c).items():
-            M.add(index[term], j, sign)
+        for term, sign in cell_boundary(c).items():  # distinct cells, one write each
+            M.rows[index[term]][j] = sign
     return M
 
 

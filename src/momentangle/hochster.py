@@ -24,6 +24,7 @@ from itertools import combinations
 from .linalg import (
     HomologyResult,
     IntMatrix,
+    check_ring,
     homology_of_pair,
     invariant_factor_chain,
 )
@@ -42,14 +43,15 @@ def coboundary_matrix(K: SimplicialComplex, d: int) -> IntMatrix:
     index = {f: i for i, f in enumerate(lower)}
     M = IntMatrix(len(upper), len(lower))
     for r, tau in enumerate(upper):
-        for j in range(len(tau)):
+        for j in range(len(tau)):  # distinct deletions, so each entry is written once
             sigma = tau[:j] + tau[j + 1:]
-            M.add(r, index[sigma], -1 if j % 2 else 1)
+            M.rows[r][index[sigma]] = -1 if j % 2 else 1
     return M
 
 
 def reduced_cohomology(K: SimplicialComplex, d: int, ring: str = "Z") -> HomologyResult:
     """Reduced simplicial cohomology of K in degree d, exact over Z or Q."""
+    check_ring(ring)
     if not K.faces_of_size(d + 1):
         return HomologyResult(0, (), ())
     d_out = coboundary_matrix(K, d)
@@ -67,6 +69,7 @@ def hochster_summands(K: SimplicialComplex, p: int, q: int, ring: str = "Z") -> 
     d + 1 and d + 2; restrictions that agree on those relabelled faces
     share one solve, held for the length of this call only.
     """
+    check_ring(ring)
     d = q - p - 1
     if not K.faces_of_size(d + 1):
         return []
@@ -90,6 +93,7 @@ def hochster_cohomology(K: SimplicialComplex, p: int, q: int, ring: str = "Z") -
     regrouped into a single canonical divisibility chain.  No cochain
     representatives exist on this route, so none are returned.
     """
+    check_ring(ring)
     if p < 0 or q < 0 or q > K.n:
         return HomologyResult(0, (), ())
     rank = 0

@@ -13,12 +13,12 @@ koszul_differential returns the image of one monomial as a plain dict
 from monomials to coefficients; the engine reads it only through the
 block matrices.
 
-A KoszulMonomial is a tuple pair (exterior, face), so it hashes and
-compares like one and equals the plain pair (I, J).  Its public
-constructor rejects overlapping index sets; koszul_basis and
-koszul_differential build theirs without that check, since a basis
-exterior part avoids its face and a differential term only moves an index
-from one side to the other.
+A monomial is the plain pair (exterior, face) of sorted index tuples.
+Nothing checks that the two parts are disjoint when one is built: a basis
+exterior part is drawn from the vertices outside its face, and a
+differential term only moves an index from one side to the other.  The
+terms of one differential drop different exterior indices, so no two
+coincide, and the block matrices write each entry once.
 
 The differential also fixes the support, the union of the two index
 sets: this is the Z^n-multigrading of the algebra.  Cohomology is
@@ -31,41 +31,11 @@ representatives are requested.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
-from operator import itemgetter
 
 from .errors import InvariantViolation
-from .linalg import HomologyResult, IntMatrix, homology_of_pair, invariant_factor_chain
+from .linalg import HomologyResult, IntMatrix, check_ring, homology_of_pair, invariant_factor_chain
 from .simplicial import SimplicialComplex
-
-
-class KoszulMonomial(tuple):
-    """Product of odd generators over `exterior` and even ones over `face`.
-
-    A tuple pair (exterior, face): it equals the plain pair with the same
-    entries and hashes like it.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, exterior: tuple, face: tuple):
-        if set(exterior) & set(face):
-            raise ValueError(f"index sets overlap: {exterior} and {face}")
-        return tuple.__new__(cls, (exterior, face))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    exterior = property(itemgetter(0))
-    face = property(itemgetter(1))
-
-    def __repr__(self):
-        return f"KoszulMonomial(exterior={self[0]!r}, face={self[1]!r})"
-
-
-# builds a monomial from a pair (I, J) known to be disjoint, skipping the check
-_monomial = partial(tuple.__new__, KoszulMonomial)
 
 
 def koszul_basis(K: SimplicialComplex, p: int, q: int) -> tuple:
@@ -84,11 +54,10 @@ def koszul_basis(K: SimplicialComplex, p: int, q: int) -> tuple:
     # all exterior parts have size p and all faces size q - p, so plain
     # tuple order is the graded lexicographic order of face_key
     pairs.sort()
-    # J is not in rest, so no exterior part meets its face
-    return tuple([_monomial(pair) for pair in pairs])
+    return tuple(pairs)
 
 
-def koszul_differential(K: SimplicialComplex, m: KoszulMonomial) -> dict:
+def koszul_differential(K: SimplicialComplex, m: tuple) -> dict:
     """Differential of a monomial, as a monomial-to-coefficient dict.
 
     Each odd index moves to the even side with an alternating sign; terms
@@ -101,12 +70,7 @@ def koszul_differential(K: SimplicialComplex, m: KoszulMonomial) -> dict:
         new_face = tuple(sorted(J + (i,)))
         if new_face not in faces:
             continue
-        # i moves from I to J, so the two parts stay disjoint
-        term = _monomial((I[:k - 1] + I[k:], new_face))
-        sign = 1 if k % 2 else -1
-        out[term] = out.get(term, 0) + sign
-        if not out[term]:
-            del out[term]
+        out[(I[:k - 1] + I[k:], new_face)] = 1 if k % 2 else -1
     return out
 
 
@@ -124,7 +88,7 @@ def _matrix(K: SimplicialComplex, source, target) -> IntMatrix:
             if i is None:
                 raise InvariantViolation(
                     f"differential of {m} has the term {term} outside its target")
-            M.add(i, j, sign)
+            M.rows[i][j] = sign
     return M
 
 
@@ -155,6 +119,7 @@ def koszul_cohomology(K: SimplicialComplex, p: int, q: int, ring: str = "Z",
     matrices; ranks add, and torsion merges into one divisibility chain.
     Representative vectors are coordinates over koszul_basis(K, p, q).
     """
+    check_ring(ring)
     middle = koszul_basis(K, p, q)
     if not middle:
         return HomologyResult(0, (), ())

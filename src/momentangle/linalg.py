@@ -41,16 +41,6 @@ class IntMatrix:
         self.ncols = ncols
         self.rows: list[dict[int, int]] = [{} for _ in range(nrows)]
 
-    def add(self, i: int, j: int, value: int) -> None:
-        if not 0 <= i < self.nrows or not 0 <= j < self.ncols:
-            raise IndexError(f"entry ({i}, {j}) outside {self.nrows}x{self.ncols}")
-        row = self.rows[i]
-        v = row.get(j, 0) + value
-        if v:
-            row[j] = v
-        else:
-            row.pop(j, None)
-
     def entry(self, i: int, j: int) -> int:
         return self.rows[i].get(j, 0)
 
@@ -430,6 +420,12 @@ def smith_normal_form(M: IntMatrix) -> tuple:
     return (1,) * units + _smith(dense, None)
 
 
+def check_ring(ring: str) -> None:
+    """Raise ValueError unless ring is 'Z' or 'Q'."""
+    if ring not in ("Z", "Q"):
+        raise ValueError(f"ring must be 'Z' or 'Q', got {ring!r}")
+
+
 @dataclass(frozen=True)
 class HomologyResult:
     """Homology at the middle term of d_in: A -> B, d_out: B -> C.
@@ -461,6 +457,7 @@ def homology_of_pair(d_in: IntMatrix, d_out: IntMatrix, ring: str = "Z",
     if the image fails to land in the kernel coordinates (which would mean
     the Smith transforms are wrong).
     """
+    check_ring(ring)
     if d_in.nrows != d_out.ncols:
         raise ValueError(
             f"middle dimensions differ: d_in maps into Z^{d_in.nrows}, "
@@ -481,8 +478,6 @@ def homology_of_pair(d_in: IntMatrix, d_out: IntMatrix, ring: str = "Z",
             if len(reps) != r:
                 raise InvariantViolation("rational representative count disagrees with rank")
         return HomologyResult(r, (), reps)
-    if ring != "Z":
-        raise ValueError(f"ring must be 'Z' or 'Q', got {ring!r}")
     if not want_representatives:
         factors_in = smith_normal_form(d_in)
         free_rank = nmid - len(smith_normal_form(d_out)) - len(factors_in)

@@ -37,7 +37,7 @@ from operator import and_, or_
 from .cech import Resolvent, _FaceTupleFamily, build_resolvent
 from .cells import Cell, homology_cycle_basis
 from .linalg import IntMatrix, homology_of_pair
-from .simplicial import SimplicialComplex, face_key
+from .simplicial import SimplicialComplex
 
 
 class LogCochain(_FaceTupleFamily):
@@ -77,19 +77,12 @@ class LogCochain(_FaceTupleFamily):
     def differential(self) -> "LogCochain":
         """Alternating sum over insertions of one more face of the complex."""
         out = LogCochain(self.K, self.r, self.t + 1)
-        all_faces = self.K.faces_sorted()
+        # add puts beta at its slot j of the ascending tuple with the sign
+        # (-1)^j, and drops it where S already holds beta
         for S, forms in self.entries.items():
-            present = set(S)
-            for beta in all_faces:
-                if beta in present:
-                    continue
-                j = 0
-                while j < len(S) and face_key(S[j]) < face_key(beta):
-                    j += 1
-                T = S[:j] + (beta,) + S[j:]
-                sign = -1 if j % 2 else 1
+            for beta in self.K.faces_sorted():
                 for I, a in forms.items():
-                    out.add(T, I, sign * a)
+                    out.add((beta,) + S, I, a)
         return out
 
     def __eq__(self, other):
@@ -111,6 +104,8 @@ def block_tuples(K: SimplicialComplex, I: tuple, t: int) -> list:
     """
     if t < 0:
         return []
+    if not I:  # nothing is forbidden, so every tuple is admissible
+        return list(combinations(K.faces_sorted(), t + 1))
     forbidden = set(I)
     out = []
     for T in combinations(K.faces_sorted(), t + 1):

@@ -14,8 +14,8 @@ from momentangle.cells import (
     cell_homology,
     homology_cycle_basis,
 )
+from momentangle.hochster import coboundary_matrix
 from momentangle.koszul import (
-    KoszulMonomial,
     differential_matrix,
     koszul_basis,
     koszul_cohomology,
@@ -48,7 +48,7 @@ def test_cell_basis_matches_monomial_basis():
                 monomials = koszul_basis(K, p, q)
                 assert len(cells) == len(monomials)
                 assert {(c.disks, c.circles) for c in cells} == \
-                    {(m.face, m.exterior) for m in monomials}
+                    {(m[1], m[0]) for m in monomials}
 
 
 def test_boundary_single_disk_signs():
@@ -130,15 +130,32 @@ def test_boundary_matrix_is_transpose_of_differential():
                 for j, m in enumerate(monomials_hi):
                     for i, t in enumerate(monomials_lo):
                         a = D.entry(i, j)
-                        b = B.entry(cell_row[(m.face, m.exterior)],
-                                    cell_col[(t.face, t.exterior)])
+                        b = B.entry(cell_row[(m[1], m[0])],
+                                    cell_col[(t[1], t[0])])
                         assert a == b, (K, p, q, m, t)
+
+
+def test_chain_matrices_hold_one_entry_per_term():
+    # the builders write each entry once, so two terms landing on one entry
+    # would lose a coefficient instead of summing; every term is distinct
+    for n in range(1, 5):
+        for K in enumerate_complexes(n):
+            for q in range(n + 1):
+                for p in range(q + 1):
+                    terms = sum(len(koszul_differential(K, m))
+                                for m in koszul_basis(K, p, q))
+                    assert differential_matrix(K, p, q).nnz() == terms, (K, p, q)
+                    terms = sum(len(cell_boundary(c)) for c in cell_basis(K, p, q))
+                    assert boundary_matrix(K, p, q).nnz() == terms, (K, p, q)
+            for d in range(-1, n):
+                want = (d + 2) * len(K.faces_of_size(d + 2))
+                assert coboundary_matrix(K, d).nnz() == want, (K, d)
 
 
 def test_adjointness_hand_sample():
     # <phi(d(u1 u2)), disc1 x circle2> = <phi(u1 u2), boundary(disc1 x circle2)> = 1
     K = two_points()
-    m = KoszulMonomial((1, 2), ())
+    m = ((1, 2), ())
     c = Cell((1,), (2,))
     lhs = koszul_differential(K, m).get((c.circles, c.disks), 0)
     rhs = cell_boundary(c).get(Cell(m[1], m[0]), 0)

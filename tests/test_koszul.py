@@ -1,8 +1,6 @@
 """Tests for the cochain algebra engine."""
 
-import copy
 import hashlib
-import pickle
 import random
 from itertools import combinations
 from math import comb
@@ -12,7 +10,6 @@ import pytest
 from momentangle import koszul
 from momentangle.errors import InvariantViolation
 from momentangle.koszul import (
-    KoszulMonomial,
     differential_matrix,
     koszul_basis,
     koszul_bigraded,
@@ -31,73 +28,44 @@ def square():
     return SimplicialComplex.from_facets(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
 
 
-def test_monomial_rejects_overlap():
-    with pytest.raises(ValueError):
-        KoszulMonomial((1,), (1, 2))
-    with pytest.raises(ValueError):
-        KoszulMonomial((1, 3), (3,))
-
-
-def test_monomial_is_a_tuple_pair():
-    m = KoszulMonomial((1,), (2,))
-    assert (m.exterior, m.face) == ((1,), (2,))
-    assert repr(m) == "KoszulMonomial(exterior=(1,), face=(2,))"
-    # documented: a monomial equals, and hashes like, the plain pair (I, J)
-    assert m == ((1,), (2,)) and hash(m) == hash(((1,), (2,)))
-    assert (len(m.exterior), len(m.exterior) + len(m.face)) == (1, 2)
-
-
-def test_monomial_pickle_and_deepcopy_round_trip():
-    for m in (KoszulMonomial((1, 3), (2,)), KoszulMonomial((), ())):
-        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
-            back = pickle.loads(pickle.dumps(m, proto))
-            assert type(back) is KoszulMonomial and back == m
-            assert (back.exterior, back.face) == (m.exterior, m.face)
-        dup = copy.deepcopy(m)
-        assert type(dup) is KoszulMonomial and dup == m and repr(dup) == repr(m)
-        assert type(copy.copy(m)) is KoszulMonomial
-
-
 def test_basis_and_differential_build_monomials():
     K = square()
     for p in range(0, 4):
         for q in range(p, 5):
             for m in koszul_basis(K, p, q):
-                assert type(m) is KoszulMonomial
                 I, J = m
                 assert (len(I), len(I) + len(J)) == (p, q)
                 for term in koszul_differential(K, m):
-                    assert type(term) is KoszulMonomial
                     I, J = term
                     assert (len(I), len(I) + len(J)) == (p - 1, q)
-    m = KoszulMonomial((1, 3), (2,))
+    m = ((1, 3), (2,))
     assert koszul_differential(K, m) == {
-        KoszulMonomial((3,), (1, 2)): 1,
-        KoszulMonomial((1,), (2, 3)): -1,
+        ((3,), (1, 2)): 1,
+        ((1,), (2, 3)): -1,
     }
 
 
 def test_unchecked_monomials_stay_disjoint():
-    # koszul_basis and koszul_differential skip the constructor's overlap
-    # check; every monomial they build must still satisfy it, with a face
-    # part that is a face of K
+    # koszul_basis and koszul_differential check no overlap when they build
+    # a pair (I, J); every one they build must still be disjoint, with a
+    # face part that is a face of K
     for n in range(1, 5):
         for K in enumerate_complexes(n):
             for q in range(n + 1):
                 for p in range(q + 1):
                     for m in koszul_basis(K, p, q):
-                        assert not set(m.exterior) & set(m.face), (K, m)
-                        assert K.has_face(m.face), (K, m)
+                        assert not set(m[0]) & set(m[1]), (K, m)
+                        assert K.has_face(m[1]), (K, m)
                         for term in koszul_differential(K, m):
-                            assert not set(term.exterior) & set(term.face), (K, m, term)
-                            assert K.has_face(term.face), (K, m, term)
+                            assert not set(term[0]) & set(term[1]), (K, m, term)
+                            assert K.has_face(term[1]), (K, m, term)
 
 
 def test_basis_ordering_two_points():
     basis = koszul_basis(two_points(), 1, 2)
     assert basis == (
-        KoszulMonomial((1,), (2,)),
-        KoszulMonomial((2,), (1,)),
+        ((1,), (2,)),
+        ((2,), (1,)),
     )
 
 
@@ -121,17 +89,17 @@ def test_basis_empty_outside_range():
 def test_differential_drops_non_faces():
     # in the two-point complex, {1, 2} is not a face, so both cycles survive
     K = two_points()
-    assert koszul_differential(K, KoszulMonomial((1,), (2,))) == {}
-    assert koszul_differential(K, KoszulMonomial((2,), (1,))) == {}
+    assert koszul_differential(K, ((1,), (2,))) == {}
+    assert koszul_differential(K, ((2,), (1,))) == {}
 
 
 def test_differential_alternating_signs():
     # full simplex on 2 vertices: both moves land on faces
     K = SimplicialComplex.from_facets(2, [[1, 2]])
-    m = KoszulMonomial((1, 2), ())
+    m = ((1, 2), ())
     assert koszul_differential(K, m) == {
-        KoszulMonomial((2,), (1,)): 1,
-        KoszulMonomial((1,), (2,)): -1,
+        ((2,), (1,)): 1,
+        ((1,), (2,)): -1,
     }
 
 
@@ -227,11 +195,11 @@ def test_representatives_are_cocycles(K, p, q, rank):
 def test_differential_leaving_its_block_is_caught(monkeypatch):
     K = square()
     real = koszul.koszul_differential
-    stray = KoszulMonomial((), (3, 4))  # support {3, 4}, in bidegree (0, 2)
+    stray = ((), (3, 4))  # support {3, 4}, in bidegree (0, 2)
 
     def leaky(K, m):
         out = real(K, m)
-        if m == KoszulMonomial((1,), (2,)):  # support {1, 2}
+        if m == ((1,), (2,)):  # support {1, 2}
             out[stray] = 1
         return out
 

@@ -9,7 +9,8 @@ import pytest
 from momentangle import linalg
 from momentangle.cells import boundary_matrix
 from momentangle.errors import CompositionError, InvariantViolation
-from momentangle.koszul import _matrix, _support_blocks, koszul_basis
+from momentangle.hochster import hochster_cohomology, hochster_summands, reduced_cohomology
+from momentangle.koszul import _matrix, _support_blocks, koszul_basis, koszul_cohomology
 from momentangle.linalg import (
     HomologyResult,
     IntMatrix,
@@ -232,6 +233,23 @@ def test_homology_rejects_bad_composition():
     d_out = IntMatrix.from_rows([[1, 0]])
     with pytest.raises(CompositionError):
         homology_of_pair(d_in, d_out)
+
+
+def test_invalid_ring_is_refused_at_an_empty_bidegree():
+    # the plane minus the origin: bidegree (0, 2) and reduced degree 1 hold
+    # no cochains, so each call would return zero before reaching any solve
+    K = SimplicialComplex.from_facets(2, [[1], [2]])
+    calls = [
+        lambda: homology_of_pair(IntMatrix(0, 0), IntMatrix(0, 0), ring="q"),
+        lambda: koszul_cohomology(K, 0, 2, ring="zz"),
+        lambda: hochster_summands(K, 0, 2, ring="zz"),
+        lambda: hochster_cohomology(K, 0, 2, ring="zz"),
+        lambda: hochster_cohomology(K, -1, 3, ring="zz"),
+        lambda: reduced_cohomology(K, 1, ring="zz"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="ring"):
+            call()
 
 
 def integral_kernel_columns(rng, d_out):

@@ -184,7 +184,7 @@ def skew_first_deletion(monkeypatch):
         for i, T in enumerate(target):
             col = index.get(T[1:])
             if col is not None:
-                M.add(i, col, -2)
+                M.rows[i][col] -= 2
         return M
 
     monkeypatch.setattr(logforms, "_coboundary", skewed)

@@ -52,6 +52,8 @@ def package_imports(module: str) -> set:
     ("koszul", {"hochster", "logforms", "cells"}),
     ("hochster", {"koszul", "logforms"}),
     ("logforms", {"koszul", "hochster"}),
+    ("cells", {"koszul", "hochster", "logforms"}),
+    ("cech", {"koszul", "hochster", "logforms"}),
 ])
 def test_engines_import_no_other_engine(module, others):
     assert not package_imports(module) & others
