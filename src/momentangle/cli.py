@@ -14,7 +14,9 @@ Each subcommand accepts only the flags it reads (see ``build_parser``);
 ``--samples``.
 
 Exit codes: 0 success, 2 bad input, 3 engine disagreement, 4 violated
-internal invariant or other internal error.  All output is deterministic:
+internal invariant or other internal error, 141 standard output closed
+by its reader (as a shell reports a writer killed by SIGPIPE), with no
+traceback.  All output is deterministic:
 repeated runs, with any worker count, produce identical bytes.
 """
 
@@ -60,6 +62,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DISAGREE = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141
 
 ALL_ENGINES = ("koszul", "hochster", "cech")
 
@@ -511,7 +514,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here rather than at exit
+        return status
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; see "Note on SIGPIPE"
+        # in the documentation of the signal module
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -11,14 +11,14 @@ never mix, so the complex splits into one block per index set.  Block
 cohomology is computed honestly from the block matrices; no shortcut
 through the nerve of the cover is taken anywhere.  One call enumerates the
 tuples of cover degrees t - 1, t and t + 1 once, each with the vertex set
-of its meet, and builds the two face-deletion matrices between those
-levels once; an index set's block is their submatrix on the tuples whose
-meet misses it.  Index sets that cut the union of all those meets in the
-same vertices admit the same tuples, so their blocks are equal: each
-distinct block is built and solved once per call, and nothing is kept
-after the call.  Dimensions and bases alike read each block through
-homology_of_pair over Q (ranks only for a dimension), which checks that
-the block's two differentials compose to zero.
+of its meet; an index set's block keeps the tuples whose meet misses it
+and is built from those tuple lists alone.  Index sets that cut the union
+of all those meets in the same vertices admit the same tuples, so their
+blocks are equal: each distinct block is built and solved once per call,
+and nothing is kept after the call.  Dimensions and bases alike read each
+block through homology_of_pair over Q (ranks only for a dimension), which
+checks that the block's own two differentials compose to zero, so the
+check also covers the admissibility filter that chose the block's tuples.
 
 A period pairs one cocycle with the resolvent level of its own cover
 degree, integrating each tuple's form over the matching chain entry; the
@@ -142,45 +142,32 @@ def block_matrix(K: SimplicialComplex, I: tuple, t: int) -> IntMatrix:
     return _coboundary(block_tuples(K, I, t), block_tuples(K, I, t + 1))
 
 
-def _restrict(M: IntMatrix, rows: list, cols: list) -> IntMatrix:
-    """Submatrix of M on the given ascending row and column indices."""
-    where = {j: k for k, j in enumerate(cols)}
-    out = IntMatrix(len(rows), len(cols))
-    out.rows = [{where[j]: v for j, v in M.rows[i].items() if j in where}
-                for i in rows]
-    return out
-
-
 def _blocks(K: SimplicialComplex, r: int, t: int):
     """(index_sets, tuples, d_in, d_out) for each distinct nonempty degree-t block.
 
     The tuples of levels t - 1, t and t + 1 are enumerated once, as
-    block_tuples(K, (), s), with the bitmask of each tuple's meet, and the
-    face-deletion matrices from level t - 1 to t and from t to t + 1 are
-    built once.  The block of an r-set I is their submatrix on the tuples
-    whose meet misses I, in ascending order, which is block_tuples(K, I, t),
-    block_matrix(K, I, t - 1) and block_matrix(K, I, t); at t = 0 the
-    incoming differential has no columns.  r-sets that cut the union of
-    the meets on the three levels in the same vertices admit the same
-    tuples on every level, so they share one block, yielded once with all
-    of them in ascending order; blocks come in the order of their first
-    r-set.
+    block_tuples(K, (), s), with the bitmask of each tuple's meet.  The
+    block of an r-set I keeps, on each level, the tuples whose meet misses
+    I, in ascending order (block_tuples(K, I, s)), and builds its two
+    differentials from those lists with _coboundary, as block_matrix does;
+    at t = 0 the incoming differential has no columns.  r-sets that cut
+    the union of the meets on the three levels in the same vertices admit
+    the same tuples on every level, so they share one block, yielded once
+    with all of them in ascending order; blocks come in the order of their
+    first r-set.
     """
     mask = {f: sum(1 << v for v in f) for f in K.faces_sorted()}
-    below, middle, above = levels = [block_tuples(K, (), s) for s in (t - 1, t, t + 1)]
+    levels = [block_tuples(K, (), s) for s in (t - 1, t, t + 1)]
     meets = [[reduce(and_, map(mask.get, T)) for T in level] for level in levels]
-    full_in = _coboundary(below, middle)
-    full_out = _coboundary(middle, above)
     meet_vertices = reduce(or_, chain.from_iterable(meets), 0)
     groups = {}
     for I in combinations(range(1, K.n + 1), r):
         groups.setdefault(sum(1 << v for v in I) & meet_vertices, []).append(I)
     for key, index_sets in groups.items():
-        low, mid, high = ([i for i, m in enumerate(level) if not m & key]
-                          for level in meets)
+        low, mid, high = ([T for T, m in zip(level, level_meets) if not m & key]
+                          for level, level_meets in zip(levels, meets))
         if mid:
-            yield (index_sets, [middle[i] for i in mid],
-                   _restrict(full_in, mid, low), _restrict(full_out, high, mid))
+            yield index_sets, mid, _coboundary(low, mid), _coboundary(mid, high)
 
 
 def log_cohomology_dim(K: SimplicialComplex, r: int, t: int) -> int:

@@ -127,16 +127,28 @@ class SimplicialComplex:
         return f"SimplicialComplex(n={self.n}, facets=[{facets}])"
 
 
+def _refuse_repeated_keys(pairs: list) -> dict:
+    """JSON object hook: a repeated key would silently drop a value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ParseError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
 def parse_complex(text: str) -> SimplicialComplex:
     """Parse a JSON object {"n": int, "facets": [[int, ...], ...]}.
 
     Returns the downward closure of the listed facets together with the
-    empty face.  Raises ParseError on malformed input, a key other than
-    "n" and "facets", an out-of-range or repeated vertex, or negative n.
+    empty face.  Raises ParseError on malformed input (including nesting
+    too deep to parse, an integer too long to convert, and a repeated
+    key), a key other than "n" and "facets", an out-of-range or repeated
+    vertex, or negative n.
     """
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text, object_pairs_hook=_refuse_repeated_keys)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("top-level value must be an object")

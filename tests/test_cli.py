@@ -1,6 +1,7 @@
 """Tests for the command-line interface: subcommands, formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 from momentangle import cli
 from momentangle.errors import InvariantViolation
 from momentangle.linalg import HomologyResult
+from test_simplicial import DEEP_NESTING, LONG_INTEGER, REPEATED_KEY
 
 SQUARE = '{"n": 4, "facets": [[1,2],[2,3],[3,4],[1,4]]}'
 TWO_POINTS = '{"n": 2, "facets": [[1],[2]]}'
@@ -59,6 +61,15 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert cli.main(["betti", str(path)]) == 2
+
+
+@pytest.mark.parametrize("text", [DEEP_NESTING, LONG_INTEGER, REPEATED_KEY],
+                         ids=["deep-nesting", "long-integer", "repeated-key"])
+def test_refused_json_exits_2(tmp_path, text, capsys):
+    path = tmp_path / "refused.json"
+    path.write_text(text)
+    assert cli.main(["betti", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
 
 
 def test_hodge_json_schema(square_file, capsys):
@@ -361,3 +372,16 @@ def test_output_identical_across_worker_counts(square_file):
         capture_output=True, text=True)
     assert one.returncode == four.returncode == 0
     assert one.stdout == four.stdout
+
+
+def test_closed_output_pipe_exits_141_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader is left before the child writes
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "momentangle", "scan", "-n", "4"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert "Traceback" not in result.stderr

@@ -88,6 +88,27 @@ def test_parse_complex_bad_json():
         parse_complex("{not json")
 
 
+DEEP_NESTING = '{"n": 2, "facets": ' + "[" * 100000 + "]" * 100000 + "}"
+LONG_INTEGER = '{"n": ' + "9" * 5000 + "}"
+REPEATED_KEY = '{"n": 3, "facets": [[1, 2]], "n": 2}'
+
+
+@pytest.mark.parametrize("text", [DEEP_NESTING, LONG_INTEGER],
+                         ids=["deep-nesting", "long-integer"])
+def test_parse_complex_refuses_json_the_decoder_cannot_hold(text):
+    # the decoder raises RecursionError and a plain ValueError on these
+    with pytest.raises(ParseError, match="invalid JSON"):
+        parse_complex(text)
+
+
+def test_parse_complex_refuses_repeated_keys():
+    # json.loads would keep the last value and drop the others silently
+    with pytest.raises(ParseError, match="repeated key 'n'"):
+        parse_complex(REPEATED_KEY)
+    with pytest.raises(ParseError, match="repeated key 'facets'"):
+        parse_complex('{"n": 3, "facets": [[1, 2]], "facets": [[3]]}')
+
+
 def test_parse_complex_bad_types():
     with pytest.raises(ParseError):
         parse_complex('[1, 2]')
