@@ -8,17 +8,26 @@ intersection of the tuple's faces.  The cochains alternate in the tuple,
 the differential is the usual alternating sum over face deletions (values
 at tuples that violate admissibility read as zero), and the form indices
 never mix, so the complex splits into one block per index set.  Block
-cohomology is computed honestly from the block matrices; no shortcut
-through the nerve of the cover is taken anywhere.  One call enumerates the
-tuples of cover degrees t - 1, t and t + 1 once, each with the vertex set
-of its meet; an index set's block keeps the tuples whose meet misses it
-and is built from those tuple lists alone.  Index sets that cut the union
-of all those meets in the same vertices admit the same tuples, so their
-blocks are equal: each distinct block is built and solved once per call,
-and nothing is kept after the call.  Dimensions and bases alike read each
-block through homology_of_pair over Q (ranks only for a dimension), which
-checks that the block's own two differentials compose to zero, so the
-check also covers the admissibility filter that chose the block's tuples.
+cohomology is computed from face-deletion matrices of the cover's own
+tuples; the nerve K_I of the Hochster route is never built.  One call
+enumerates the tuples of the cover levels it reads once, each with the
+vertex set of its meet; an index set's block keeps the tuples whose meet
+misses it and is built from those tuple lists alone.  Index sets that cut
+the union of the meets of levels t - 1 and t in the same vertices admit
+the same tuples on every level from t - 1 up, so their blocks are equal:
+each distinct block is solved once per call, and nothing is kept after
+the call.
+
+A block is the relative cochain complex of the pair (full simplex on the
+faces, B), where B holds the tuples whose meet meets the index set and is
+closed under deleting faces; the simplex is contractible, so the block's
+degree-t cohomology is the reduced degree-(t - 1) cohomology of B.  B's
+tuples of degree t - 1 are never more than the block's of degree t, so a
+dimension always ranks B; a basis reads the admissible block, whose
+cocycles the periods integrate.  Both go through homology_of_pair over Q
+(ranks only for a dimension), which checks that the complex it solves
+composes to zero, so the check also covers the filter that chose its
+tuples.
 
 A period pairs one cocycle with the resolvent level of its own cover
 degree, integrating each tuple's form over the matching chain entry; the
@@ -31,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations
+from itertools import combinations
 from operator import and_, or_
 
 from .cech import Resolvent, _FaceTupleFamily, build_resolvent
@@ -142,44 +151,84 @@ def block_matrix(K: SimplicialComplex, I: tuple, t: int) -> IntMatrix:
     return _coboundary(block_tuples(K, I, t), block_tuples(K, I, t + 1))
 
 
-def _blocks(K: SimplicialComplex, r: int, t: int):
-    """(index_sets, tuples, d_in, d_out) for each distinct nonempty degree-t block.
+def _cover_levels(K: SimplicialComplex, r: int, t: int, bottom: int, top: int):
+    """Cover levels bottom .. top with meet bitmasks, and the r-sets by key.
 
-    The tuples of levels t - 1, t and t + 1 are enumerated once, as
-    block_tuples(K, (), s), with the bitmask of each tuple's meet.  The
-    block of an r-set I keeps, on each level, the tuples whose meet misses
-    I, in ascending order (block_tuples(K, I, s)), and builds its two
-    differentials from those lists with _coboundary, as block_matrix does;
-    at t = 0 the incoming differential has no columns.  r-sets that cut
-    the union of the meets on the three levels in the same vertices admit
-    the same tuples on every level, so they share one block, yielded once
-    with all of them in ascending order; blocks come in the order of their
-    first r-set.
+    Each level s is block_tuples(K, (), s) as a list of (tuple, bitmask of
+    its meet).  The key of an r-set is the set of vertices in which it cuts
+    the union of the meets on levels t - 1 and t.  Deleting a face from a
+    tuple enlarges its meet, so each meet on a level above t lies in one on
+    level t, and r-sets with one key admit the same tuples on every level
+    from t - 1 up.  The groups map each key to its r-sets in ascending
+    order, keys in the order of their first r-set.
     """
     mask = {f: sum(1 << v for v in f) for f in K.faces_sorted()}
-    levels = [block_tuples(K, (), s) for s in (t - 1, t, t + 1)]
-    meets = [[reduce(and_, map(mask.get, T)) for T in level] for level in levels]
-    meet_vertices = reduce(or_, chain.from_iterable(meets), 0)
+    levels = [[(T, reduce(and_, map(mask.get, T))) for T in block_tuples(K, (), s)]
+              for s in range(bottom, top + 1)]
+    meet_vertices = reduce(
+        or_, (m for level in levels[t - 1 - bottom:t + 1 - bottom] for _, m in level), 0)
     groups = {}
     for I in combinations(range(1, K.n + 1), r):
         groups.setdefault(sum(1 << v for v in I) & meet_vertices, []).append(I)
+    return levels, groups
+
+
+def _blocks(K: SimplicialComplex, r: int, t: int):
+    """(index_sets, tuples, d_in, d_out) for each distinct nonempty degree-t block.
+
+    The block of an r-set I keeps, on levels t - 1, t and t + 1, the tuples
+    whose meet misses I, in ascending order (block_tuples(K, I, s)), and
+    builds its two differentials from those lists with _coboundary, as
+    block_matrix does; at t = 0 the incoming differential has no columns.
+    r-sets with one key (see _cover_levels) share one block, yielded once
+    with all of them.
+    """
+    levels, groups = _cover_levels(K, r, t, t - 1, t + 1)
     for key, index_sets in groups.items():
-        low, mid, high = ([T for T, m in zip(level, level_meets) if not m & key]
-                          for level, level_meets in zip(levels, meets))
+        low, mid, high = ([T for T, m in level if not m & key] for level in levels)
         if mid:
             yield index_sets, mid, _coboundary(low, mid), _coboundary(mid, high)
+
+
+def _complements(K: SimplicialComplex, r: int, t: int):
+    """(index_sets, low, mid, high) of B on levels t - 2, t - 1, t, per key.
+
+    B is the family of tuples whose meet meets the key.  Deleting a face
+    only enlarges a meet, so B is closed under deletion; the key's block is
+    the relative cochain complex of the full simplex on the faces modulo B,
+    which is contractible, so the connecting map of the pair is an
+    isomorphism from the reduced degree-(t - 1) cohomology of B onto the
+    block's degree t.  Level -1 of B is the empty tuple whatever the key
+    (the augmented convention), so an empty B has its one class in degree
+    -1.  The empty face lies in every complex, and putting it in front of a
+    tuple of B gives a tuple one level up with an empty meet, so mid is
+    never longer than the block's middle.  The key comes from the meets on
+    levels t - 1 and t (see _cover_levels), which decides B exactly on
+    those levels; on level t - 2 it may leave out a tuple whose meet
+    meets an r-set only outside those meets, but no tuple of B on level
+    t - 1 contains such a tuple, so it would only add a zero column to the
+    incoming differential.  A degree past the face count has no tuples,
+    hence no cohomology, and yields nothing.
+    """
+    levels, groups = _cover_levels(K, r, t, t - 2, t)
+    if levels[2]:
+        for key, index_sets in groups.items():
+            yield index_sets, *([()] if s == -1 else [T for T, m in level if m & key]
+                                for s, level in enumerate(levels, t - 2))
 
 
 def log_cohomology_dim(K: SimplicialComplex, r: int, t: int) -> int:
     """Dimension of the degree-t cohomology of the form-degree-r complex.
 
-    Sums the rational homology ranks of the blocks over every r-element
-    index set, solving each distinct block once; homology_of_pair raises
-    CompositionError if some block has d_out * d_in != 0.
+    Sums, over every r-element index set, the rational homology rank of
+    the complement B of its block in degree t - 1 (see _complements),
+    which equals the block's degree-t rank over a middle never longer.
+    Each distinct key is solved once; homology_of_pair raises
+    CompositionError if B's differentials have d_out * d_in != 0.
     """
-    return sum(len(index_sets) * homology_of_pair(d_in, d_out, ring="Q",
-                                                  want_representatives=False).rank
-               for index_sets, _, d_in, d_out in _blocks(K, r, t))
+    return sum(len(index_sets) * homology_of_pair(_coboundary(low, mid), _coboundary(mid, high),
+                                                  ring="Q", want_representatives=False).rank
+               for index_sets, low, mid, high in _complements(K, r, t))
 
 
 def log_cohomology_basis(K: SimplicialComplex, r: int, t: int) -> list:

@@ -94,6 +94,17 @@ def test_verify_three_engines_square(square_file):
                      "--engines", "koszul,hochster,cech"]) == 0
 
 
+@pytest.mark.slow
+def test_verify_three_engines_prism(tmp_path, capsys):
+    # n = 6 with 9 edges (16 faces): the Čech dimensions of its high cover
+    # degrees come from the complements; the period matrices take seconds
+    path = tmp_path / "prism.json"
+    path.write_text('{"n": 6, "facets": [[1,2],[2,3],[3,1],[4,5],[5,6],[6,4],'
+                    '[1,4],[2,5],[3,6]]}')
+    assert cli.main(["verify", str(path), "--engines", "koszul,hochster,cech"]) == 0
+    assert "ok: engines koszul, hochster, cech agree on 28 bidegrees" in capsys.readouterr().out
+
+
 def test_verify_unknown_engine_exits_2(two_points_file, capsys):
     assert cli.main(["verify", two_points_file, "--engines", "magic"]) == 2
     assert "unknown engine" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Tests for the logarithmic cochain engine and the period pairing."""
 
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from momentangle.errors import CompositionError
 from momentangle.koszul import koszul_cohomology
 from momentangle.linalg import (
     determinant_rational,
+    homology_of_pair,
     nullspace_rational,
     quotient_representatives,
     rank,
@@ -28,6 +30,7 @@ from momentangle.logforms import (
     period_matrix,
     period_of_cycle,
 )
+from momentangle.report import betti_table
 from momentangle.simplicial import SimplicialComplex, enumerate_complexes
 
 
@@ -262,6 +265,91 @@ def test_equal_blocks_share_one_solve(monkeypatch):
     calls = count_calls(monkeypatch, "homology_of_pair")
     assert log_cohomology_dim(K, r, t) == _reference_dim(K, r, t)
     assert len(calls) == len(blocks) < index_sets
+
+
+def _solve(low, mid, high):
+    return homology_of_pair(logforms._coboundary(low, mid), logforms._coboundary(mid, high),
+                            ring="Q", want_representatives=False).rank
+
+
+def _check_complements(targets):
+    """Rank every key's complement against its block; count the cases that came up."""
+    seen = Counter()
+    for K in targets:
+        for r in range(K.n + 1):
+            for t in range(len(K.faces) + 1):
+                blocks = [(tuple(index_sets), tuples,
+                           homology_of_pair(d_in, d_out, ring="Q",
+                                            want_representatives=False).rank)
+                          for index_sets, tuples, d_in, d_out in logforms._blocks(K, r, t)]
+                complements = list(logforms._complements(K, r, t))
+                # one complement per nonempty block, keys in the same order
+                assert [tuple(c[0]) for c in complements] == [b[0] for b in blocks], (K, r, t)
+                for (_, low, mid, high), (_, tuples, want) in zip(complements, blocks):
+                    assert _solve(low, mid, high) == want, (K, r, t)
+                    assert len(mid) <= len(tuples), (K, r, t)
+                    seen["t = 0"] += t == 0
+                    seen["B = {()}"] += low + mid + high == [()]
+                    seen["tie"] += len(mid) == len(tuples)
+                    seen["shorter"] += len(mid) < len(tuples)
+    return seen
+
+
+def test_complements_agree_with_every_block():
+    # every t up to the face count; n = 4 stops at 9 faces, the empty face included
+    targets = [K for n in (1, 2, 3, 4) for K in enumerate_complexes(n) if len(K.faces) <= 9]
+    seen = _check_complements(targets)
+    assert min(seen.values()) > 0 and len(seen) == 4, seen
+
+
+@pytest.mark.slow
+def test_complements_agree_with_every_block_n5():
+    seen = _check_complements(K for K in enumerate_complexes(5) if len(K.faces) <= 10)
+    assert min(seen.values()) > 0 and len(seen) == 4, seen
+
+
+def test_complement_edge_cases():
+    # t = 0: level -1 of B is the empty tuple, with no level -2 below it
+    K = two_points()
+    [(_, *B)] = logforms._complements(K, 0, 0)
+    assert B == [[], [()], []]
+    assert _solve(*B) == log_cohomology_dim(K, 0, 0) == 1
+    # r = 0: the key is empty, so B is the empty tuple alone at every t
+    for t in (1, 2):
+        [(_, *B)] = logforms._complements(K, 0, t)
+        assert [T for level in B for T in level] == ([()] if t == 1 else [])
+        assert _solve(*B) == 0
+    # past the face count (three faces) there is nothing to solve
+    assert list(logforms._complements(K, 0, 3)) == []
+    # r > 0 with an empty key: vertex 3 lies in no face, so I = (3,) meets no meet
+    K = SimplicialComplex.from_facets(3, [[1], [2]])
+    by_sets = {tuple(index_sets): B for index_sets, *B in logforms._complements(K, 1, 0)}
+    assert by_sets[((3,),)] == [[], [()], []]
+    assert log_cohomology_dim(K, 1, 0) == 1  # dz_3/z_3
+
+
+# the triangular prism's edges: n = 6 with 9 edges, 16 faces
+PRISM = [[1, 2], [2, 3], [3, 1], [4, 5], [5, 6], [6, 4], [1, 4], [2, 5], [3, 6]]
+
+
+def test_log_cohomology_dim_ranks_the_complements(monkeypatch):
+    # the prism's (p, q) = (0, 4): one solve per key, each on B, whose
+    # middles are far shorter than the admissible ones
+    K = SimplicialComplex.from_facets(6, PRISM)
+    r, t = 4, 4
+    keys = [(index_sets[0], len(mid)) for index_sets, _, mid, _ in logforms._complements(K, r, t)]
+    calls = count_calls(monkeypatch, "homology_of_pair")
+    assert log_cohomology_dim(K, r, t) == 0
+    assert [d_in.nrows for d_in, _ in calls] == [m for _, m in keys]
+    assert sum(m for _, m in keys) * 4 < sum(len(block_tuples(K, I, t)) for I, _ in keys)
+
+
+def test_log_cohomology_dims_of_the_prism_are_its_betti_ranks():
+    K = SimplicialComplex.from_facets(6, PRISM)
+    table = betti_table(K, ring="Z")
+    for q in range(K.n + 1):
+        for p in range(q + 1):
+            assert log_cohomology_dim(K, q, q - p) == table.rank(p, q), (p, q)
 
 
 def test_integrate_cell():
