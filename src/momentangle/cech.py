@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cells import CellChain, add_chains, apply_boundary
+from .cells import CellChain, apply_boundary
 from .errors import InvariantViolation
+from .linalg import add_into
 from .simplicial import SimplicialComplex, face_key
 
 
@@ -46,8 +47,8 @@ def canonical_tuple(faces: tuple):
 class _FaceTupleFamily:
     """Alternating {key: coefficient} family over (t + 1)-tuples of faces.
 
-    Only canonical (ascending) tuples are stored, and an entry or key whose
-    coefficient cancels is dropped.
+    Only canonical (ascending) tuples are stored, and an entry whose values
+    all cancel is dropped.
     """
 
     __slots__ = ("t", "entries")
@@ -65,14 +66,8 @@ class _FaceTupleFamily:
         arranged, sign = canonical_tuple(faces)
         if sign == 0:
             return
-        factor = sign * scale
         current = self.entries.setdefault(arranged, {})
-        for key, coeff in values.items():
-            v = current.get(key, 0) + factor * coeff
-            if v:
-                current[key] = v
-            else:
-                current.pop(key, None)
+        add_into(current, values, sign * scale)
         if not current:
             del self.entries[arranged]
 
@@ -126,7 +121,7 @@ class CechChain(_FaceTupleFamily):
         """Sum of all entries; only meaningful at level 0."""
         total: CellChain = {}
         for chain in self.entries.values():
-            total = add_chains(total, chain)
+            add_into(total, chain)
         return total
 
     def scaled(self, c) -> "CechChain":

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .linalg import HomologyResult, IntMatrix, homology_of_pair
+from .linalg import HomologyResult, IntMatrix, add_into, homology_of_pair
 from .simplicial import SimplicialComplex, face_key
 
 
@@ -76,26 +76,8 @@ def apply_boundary(chain: CellChain) -> CellChain:
     """Extend the boundary linearly to a chain."""
     out: CellChain = {}
     for c, coeff in chain.items():
-        if not coeff:
-            continue
-        for term, sign in cell_boundary(c).items():
-            v = out.get(term, 0) + coeff * sign
-            if v:
-                out[term] = v
-            else:
-                del out[term]
-    return out
-
-
-def add_chains(a: CellChain, b: CellChain, scale=1) -> CellChain:
-    """a + scale * b with zero coefficients dropped."""
-    out = dict(a)
-    for c, coeff in b.items():
-        v = out.get(c, 0) + scale * coeff
-        if v:
-            out[c] = v
-        else:
-            out.pop(c, None)
+        if coeff:
+            add_into(out, cell_boundary(c), coeff)
     return out
 
 

@@ -100,12 +100,12 @@ def differential_matrix(K: SimplicialComplex, p: int, q: int) -> IntMatrix:
 def _support_blocks(basis: tuple) -> dict:
     """Monomials of `basis` grouped by support, the union of both index sets.
 
-    Each value lists (position in basis, monomial) in basis order; supports
-    appear in order of first occurrence.
+    Each value lists its monomials in basis order; supports appear in order
+    of first occurrence.
     """
     blocks: dict = {}
-    for i, m in enumerate(basis):
-        blocks.setdefault(tuple(sorted(m[0] + m[1])), []).append((i, m))
+    for m in basis:
+        blocks.setdefault(tuple(sorted(m[0] + m[1])), []).append(m)
     return blocks
 
 
@@ -127,18 +127,20 @@ def koszul_cohomology(K: SimplicialComplex, p: int, q: int, ring: str = "Z",
     upper = _support_blocks(koszul_basis(K, p + 1, q))
     zero = Fraction(0) if ring == "Q" else 0
     rank, torsion, reps = 0, [], []
+    position = None  # monomial -> index in middle, built for the first representative
     for S, block in _support_blocks(middle).items():
-        monomials = [m for _, m in block]
-        d_out = _matrix(K, monomials, [m for _, m in lower.get(S, ())])
-        d_in = _matrix(K, [m for _, m in upper.get(S, ())], monomials)
+        d_out = _matrix(K, block, lower.get(S, ()))
+        d_in = _matrix(K, upper.get(S, ()), block)
         H = homology_of_pair(d_in, d_out, ring=ring,
                              want_representatives=want_representatives)
         rank += H.rank
         torsion.extend(H.torsion)
+        if H.representatives and position is None:
+            position = {m: i for i, m in enumerate(middle)}
         for local in H.representatives:
             vec = [zero] * len(middle)
-            for (i, _), v in zip(block, local):
-                vec[i] = v
+            for m, v in zip(block, local):
+                vec[position[m]] = v
             reps.append(tuple(vec))
     return HomologyResult(rank, invariant_factor_chain(torsion), tuple(reps))
 

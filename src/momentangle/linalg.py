@@ -17,8 +17,11 @@ eliminations, rank and smith_normal_form, first split off every ±1 pivot
 with sparse integer row operations (Dumas, Saunders and Villard, JSC
 2001): each is one invariant factor 1 and one unit of rank, and only the
 residue they leave goes on to the echelon or the dense Smith form.
-invariant_factor_chain merges torsion orders into their divisibility
-chain by pairwise gcd and lcm, so no integer is ever factored.
+add_into is the one in-place sparse combination: the echelon step, the
+unit-pivot pass and the cell and face-tuple chains of the other modules
+all add through it.  invariant_factor_chain merges torsion orders into
+their divisibility chain by pairwise gcd and lcm, so no integer is ever
+factored.
 """
 
 from __future__ import annotations
@@ -96,6 +99,17 @@ class IntMatrix:
         return f"IntMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
+def add_into(out: dict, values: dict, scale=1) -> None:
+    """out += scale * values in place; a key whose coefficient cancels is
+    dropped, and a new key goes to the end of out in the order of values."""
+    for k, x in values.items():
+        y = out.get(k, 0) + scale * x
+        if y:
+            out[k] = y
+        else:
+            out.pop(k, None)
+
+
 def _reduce(v: dict, rows: dict, cols) -> int:
     """Clear v at the pivot columns `cols`, ascending, fraction-free and in
     place: v becomes num * (v - a rational combination of the rows), and num
@@ -114,12 +128,7 @@ def _reduce(v: dict, rows: dict, cols) -> int:
             for k in v:
                 v[k] *= b
             num *= b
-        for k, x in p.items():  # column c itself cancels here
-            y = v.get(k, 0) - a * x
-            if y:
-                v[k] = y
-            else:
-                del v[k]
+        add_into(v, p, -a)  # column c itself cancels here
     return num
 
 
@@ -196,13 +205,7 @@ def _unit_pivots(M: IntMatrix) -> tuple:
         for j, row in enumerate(rows):
             a = row.get(c)
             if a:
-                q = a * s  # row -= q * pivot clears column c, as s * s == 1
-                for k, x in pivot.items():
-                    y = row.get(k, 0) - q * x
-                    if y:
-                        row[k] = y
-                    else:
-                        del row[k]
+                add_into(row, pivot, -a * s)  # clears column c, as s * s == 1
                 if j < i:
                     i = j
     return units, [row for row in rows if row]

@@ -103,14 +103,10 @@ class SimplicialComplex:
 
     def facets(self) -> tuple:
         """Maximal faces, in graded lexicographic order."""
-        maximal = [
+        return tuple([
             f for f in self._sorted
             if not any(f != g and set(f) <= set(g) for g in self.faces)
-        ]
-        # () is a facet only in the complex {()}.
-        if len(maximal) > 1 and maximal[0] == ():
-            maximal = maximal[1:]
-        return tuple(maximal)
+        ])
 
     def __eq__(self, other):
         return (

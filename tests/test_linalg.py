@@ -14,6 +14,7 @@ from momentangle.koszul import _matrix, _support_blocks, koszul_basis, koszul_co
 from momentangle.linalg import (
     HomologyResult,
     IntMatrix,
+    add_into,
     determinant_rational,
     homology_of_pair,
     invariant_factor_chain,
@@ -52,6 +53,36 @@ def test_matmul():
     A = IntMatrix.from_rows([[1, 2], [3, 4]])
     B = IntMatrix.from_rows([[0, 1], [1, 0]])
     assert A.matmul(B).to_rows() == [[2, 1], [4, 3]]
+
+
+def test_add_into_drops_a_cancelling_key():
+    out = {1: 2, 2: 5}
+    add_into(out, {1: -1}, 2)
+    assert out == {2: 5}
+
+
+def test_add_into_ignores_zero_terms():
+    # a zero scale, or a zero coefficient at a key out lacks, leaves out as
+    # it was: the cancelled key is popped only if present
+    out = {1: 2}
+    add_into(out, {1: 3, 4: 7}, 0)
+    assert out == {1: 2}
+    add_into(out, {5: 0})
+    assert out == {1: 2}
+
+
+def test_add_into_fraction_scale():
+    out = {1: 1}
+    add_into(out, {1: 1, 2: 3}, Fraction(1, 2))
+    assert out == {1: Fraction(3, 2), 2: Fraction(3, 2)}
+    assert all(type(v) is Fraction for v in out.values())
+
+
+def test_add_into_keeps_key_order():
+    out = {3: 1, 1: 1, 2: 1}
+    add_into(out, {5: 1, 1: 1, 4: 1, 2: -1})
+    assert list(out) == [3, 1, 5, 4]
+    assert out == {3: 1, 1: 2, 5: 1, 4: 1}
 
 
 def test_rank_examples():
@@ -141,9 +172,8 @@ def koszul_blocks(K):
             lower = _support_blocks(koszul_basis(K, p - 1, q))
             upper = _support_blocks(koszul_basis(K, p + 1, q))
             for S, block in _support_blocks(koszul_basis(K, p, q)).items():
-                monomials = [m for _, m in block]
-                yield _matrix(K, monomials, [m for _, m in lower.get(S, ())])
-                yield _matrix(K, [m for _, m in upper.get(S, ())], monomials)
+                yield _matrix(K, block, lower.get(S, ()))
+                yield _matrix(K, upper.get(S, ()), block)
 
 
 def test_unit_pivots_on_every_koszul_block_of_four_vertices():

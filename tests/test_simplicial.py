@@ -65,6 +65,19 @@ def test_empty_complex_on_one_vertex():
     assert K.facets() == ((),)
 
 
+def test_facets_of_small_complexes():
+    assert SimplicialComplex(0, [()]).facets() == ((),)
+    assert SimplicialComplex.from_facets(3, [[1]]).facets() == ((1,),)
+    assert SimplicialComplex.from_facets(3, [[1, 2, 3]]).facets() == ((1, 2, 3),)
+    for n in range(1, 5):
+        for K in enumerate_complexes(n):
+            facets = K.facets()
+            for f in facets:
+                assert not any(f != g and set(f) <= set(g) for g in K.faces)
+            for g in K.faces:
+                assert any(set(g) <= set(f) for f in facets)
+
+
 def test_parse_complex_round_trip():
     K = parse_complex('{"n": 4, "facets": [[1,2],[2,3],[3,4],[1,4]]}')
     assert K == square_boundary()
