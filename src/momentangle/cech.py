@@ -16,8 +16,7 @@ integrates against one level at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .cells import CellChain, apply_boundary
 from .errors import InvariantViolation
 from .linalg import add_into
@@ -141,14 +140,20 @@ class CechChain(_FaceTupleFamily):
         return f"CechChain(t={self.t}, tuples={len(self.entries)})"
 
 
-@dataclass(frozen=True)
-class Resolvent:
+class Resolvent(Record):
     """Tower of families refining a cycle in homological position (p, q)."""
 
+    __slots__ = ("p", "q", "cycle", "levels")
     p: int
     q: int
     cycle: CellChain
     levels: tuple  # CechChain at levels 0, 1, ...
+
+    def __init__(self, p: int, q: int, cycle: CellChain, levels: tuple):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "levels", levels)
 
     @property
     def total_degree(self) -> int:

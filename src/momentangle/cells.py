@@ -17,23 +17,25 @@ from the algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._record import Record
 from .linalg import HomologyResult, IntMatrix, add_into, homology_of_pair
 from .simplicial import SimplicialComplex, face_key
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Record):
     """D^2 factors over `disks`, S^1 factors over `circles`, points elsewhere."""
 
+    __slots__ = ("disks", "circles")
     disks: tuple
     circles: tuple
 
-    def __post_init__(self):
-        if set(self.disks) & set(self.circles):
-            raise ValueError(f"factor sets overlap: {self.disks} and {self.circles}")
+    def __init__(self, disks: tuple, circles: tuple):
+        if set(disks) & set(circles):
+            raise ValueError(f"factor sets overlap: {disks} and {circles}")
+        object.__setattr__(self, "disks", disks)
+        object.__setattr__(self, "circles", circles)
 
     def dim(self) -> int:
         return 2 * len(self.disks) + len(self.circles)

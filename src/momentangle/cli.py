@@ -28,7 +28,6 @@ import os
 import random
 import sys
 from itertools import combinations
-from multiprocessing import Pool
 
 from .cech import build_resolvent
 from .cells import homology_cycle_basis
@@ -117,6 +116,10 @@ def _run_parallel(worker, payloads: list, jobs: int) -> list:
     """
     processes = min(jobs, len(payloads), os.cpu_count() or 1)
     if processes > 1:
+        # imported only here: a serial run, the default, would otherwise pay
+        # for loading pickle, socket and signal at start-up
+        from multiprocessing import Pool
+
         with Pool(processes=processes) as pool:
             return pool.map(worker, payloads)
     return [worker(payload) for payload in payloads]

@@ -27,10 +27,10 @@ factored.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from ._record import Record
 from .errors import CompositionError, InvariantViolation
 
 
@@ -429,8 +429,7 @@ def check_ring(ring: str) -> None:
         raise ValueError(f"ring must be 'Z' or 'Q', got {ring!r}")
 
 
-@dataclass(frozen=True)
-class HomologyResult:
+class HomologyResult(Record):
     """Homology at the middle term of d_in: A -> B, d_out: B -> C.
 
     rank            free rank
@@ -440,9 +439,15 @@ class HomologyResult:
                     requested)
     """
 
+    __slots__ = ("rank", "torsion", "representatives")
     rank: int
     torsion: tuple
     representatives: tuple
+
+    def __init__(self, rank: int, torsion: tuple, representatives: tuple):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "representatives", representatives)
 
 
 def homology_of_pair(d_in: IntMatrix, d_out: IntMatrix, ring: str = "Z",

@@ -37,12 +37,12 @@ set, contributing (2 pi i) per index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from operator import and_, or_
 
+from ._record import Record
 from .cech import Resolvent, _FaceTupleFamily, build_resolvent
 from .cells import Cell, homology_cycle_basis
 from .linalg import IntMatrix, homology_of_pair
@@ -253,12 +253,16 @@ def log_cohomology_basis(K: SimplicialComplex, r: int, t: int) -> list:
     return basis
 
 
-@dataclass(frozen=True)
-class Period:
+class Period(Record):
     """An exact period: coefficient times (2 pi i) to the given power."""
 
+    __slots__ = ("coefficient", "power")
     coefficient: Fraction
     power: int
+
+    def __init__(self, coefficient: Fraction, power: int):
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "power", power)
 
     def is_zero(self) -> bool:
         return self.coefficient == 0

@@ -12,8 +12,8 @@ or an aligned text table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import InvariantViolation
 from .hochster import hochster_bigraded
 from .koszul import koszul_bigraded
@@ -28,8 +28,7 @@ def describe_complex(K: SimplicialComplex) -> str:
     return f"n={K.n}; facets " + " ".join(parts)
 
 
-@dataclass(frozen=True)
-class BettiTable:
+class BettiTable(Record):
     """Bigraded ranks and torsion of one arrangement complement.
 
     ``entries`` maps (p, q) to ``(rank, torsion_chain)`` and holds only
@@ -37,10 +36,17 @@ class BettiTable:
     computed over ("Z" or "Q"); ``description`` identifies the complex.
     """
 
+    __slots__ = ("n", "description", "ring", "entries")
     n: int
     description: str
     ring: str
     entries: dict
+
+    def __init__(self, n: int, description: str, ring: str, entries: dict):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "entries", entries)
 
     def rank(self, p: int, q: int) -> int:
         return self.entries.get((p, q), (0, ()))[0]
@@ -117,22 +123,32 @@ def mixed_hodge_numbers(bt: BettiTable) -> dict:
             if rank}
 
 
-@dataclass(frozen=True)
-class DegreeHodge:
+class DegreeHodge(Record):
     """Filtration data of a single total degree."""
 
+    __slots__ = ("s", "dim", "F", "W", "h")
     s: int
     dim: int
     F: dict
     W: dict
     h: dict  # q -> diagonal Hodge number
 
+    def __init__(self, s: int, dim: int, F: dict, W: dict, h: dict):
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "W", W)
+        object.__setattr__(self, "h", h)
 
-@dataclass(frozen=True)
-class HodgeReport:
+
+class HodgeReport(Record):
     """Per-degree mixed Hodge data for every nonzero total degree."""
 
+    __slots__ = ("degrees",)
     degrees: tuple
+
+    def __init__(self, degrees: tuple):
+        object.__setattr__(self, "degrees", degrees)
 
 
 def hodge_report(bt: BettiTable) -> HodgeReport:

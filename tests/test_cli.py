@@ -1,6 +1,7 @@
 """Tests for the command-line interface: subcommands, formats, exit codes."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -242,7 +243,7 @@ def test_worker_pool_capped_at_cpu_count(monkeypatch, capsys):
 
     assert cli.main(["scan", "-n", "3"]) == 0
     serial = capsys.readouterr().out
-    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     # 19 complexes on 3 vertices and far more jobs than CPUs
     assert cli.main(["scan", "-n", "3", "--jobs", "1000"]) == 0

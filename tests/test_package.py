@@ -1,6 +1,8 @@
 """The package's export list matches what it binds, and its engines stay apart."""
 
 import ast
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -57,3 +59,26 @@ def package_imports(module: str) -> set:
 ])
 def test_engines_import_no_other_engine(module, others):
     assert not package_imports(module) & others
+
+
+FOOTPRINT = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import momentangle
+print(" ".join(sorted(set(sys.modules) - before)))
+import momentangle.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_loads_no_dataclasses_inspect_or_multiprocessing():
+    """A one-table run pays only for what it uses at start-up."""
+    run = subprocess.run([sys.executable, "-I", "-c", FOOTPRINT, str(PACKAGE.parent)],
+                         capture_output=True, text=True, timeout=60, check=True)
+    package, cli = (set(line.split()) for line in run.stdout.splitlines())
+    assert "momentangle.report" in package and "momentangle.cli" in cli
+    for added in (package, cli):
+        heavy = {name for name in added
+                 if name.partition(".")[0] in {"dataclasses", "inspect", "multiprocessing"}}
+        assert not heavy, heavy
