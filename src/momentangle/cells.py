@@ -21,7 +21,7 @@ from itertools import combinations
 
 from ._record import Record
 from .linalg import HomologyResult, IntMatrix, add_into, homology_of_pair
-from .simplicial import SimplicialComplex, face_key
+from .simplicial import SimplicialComplex
 
 
 class Cell(Record):
@@ -46,7 +46,8 @@ CellChain = dict
 
 
 def cell_basis(K: SimplicialComplex, p: int, q: int) -> tuple:
-    """Cells with p circles and a (q - p)-face of discs, sorted by (disks, circles)."""
+    """Cells with p circles and a (q - p)-face of discs, sorted by (disks,
+    circles), as faces of one size and combinations come in lexicographic order."""
     size = q - p
     if p < 0 or size < 0:
         return ()
@@ -55,7 +56,6 @@ def cell_basis(K: SimplicialComplex, p: int, q: int) -> tuple:
         rest = [v for v in range(1, K.n + 1) if v not in sigma]
         for gamma in combinations(rest, p):
             basis.append(Cell(sigma, gamma))
-    basis.sort(key=lambda c: (face_key(c.disks), face_key(c.circles)))
     return tuple(basis)
 
 

@@ -7,9 +7,10 @@ zeros.
 
 Over Q one sparse echelon of primitive integer rows does every
 elimination: rank, nullspace_rational, quotient_representatives and
-determinant_rational are thin entry points over it.  Over Z one dense
-Smith elimination serves smith_normal_form (the invariant factors alone)
-and smith_with_transforms (with the three change-of-basis matrices that
+determinant_rational are thin entry points over it.  Over Z one Smith
+elimination, a single dense pass that updates a transform only when
+given one, serves smith_normal_form (the invariant factors alone) and
+smith_with_transforms (with the three change-of-basis matrices that
 homology representatives read).  homology_of_pair pays for the
 transforms only when integer representatives are requested, and applies
 them with sparse IntMatrix.matmul products.  The two transform-free
@@ -282,56 +283,52 @@ def _identity_rows(n: int) -> list:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _smith(A: list, transforms) -> tuple:
+def _smith(A: list, transforms=((), (), ())) -> tuple:
     """Diagonalize the dense rows A in place and return its invariant factors.
 
-    `transforms` is None, or the list [Uinv, V, Vinv] of identity-started
-    dense matrices that every row and column operation also updates, so
-    that M * V ends up as Uinv * D with D diagonal.  The elimination is the
-    same either way; without transforms it only skips their bookkeeping.
+    `transforms` is (Uinv, V, VinvT): identity-started dense row lists, each
+    empty when unwanted.  Each operation on A is a column operation on
+    them, so that M * V ends up as Uinv * D with D diagonal, and VinvT as
+    the transpose of the inverse of V.
     """
     m = len(A)
     n = len(A[0]) if A else 0
-    if transforms is not None:
-        Uinv, V, Vinv = transforms
+    Uinv, V, VinvT = transforms
 
     # Rows t.. are zero left of column t and columns t.. are zero above
     # row t, so the operations at step t only touch the trailing block.
     def swap_rows(a, b):
         A[a], A[b] = A[b], A[a]
-        if transforms is not None:
-            for r in Uinv:
-                r[a], r[b] = r[b], r[a]
+        for r in Uinv:
+            r[a], r[b] = r[b], r[a]
 
     def swap_cols(a, b):
         for r in A[t:]:
             r[a], r[b] = r[b], r[a]
-        if transforms is not None:
-            for r in V:
-                r[a], r[b] = r[b], r[a]
-            Vinv[a], Vinv[b] = Vinv[b], Vinv[a]
+        for r in V:
+            r[a], r[b] = r[b], r[a]
+        for r in VinvT:
+            r[a], r[b] = r[b], r[a]
 
     def row_op(i, s, q):
         # row_i -= q * row_s
         A[i][t:] = [x - q * y for x, y in zip(A[i][t:], A[s][t:])]
-        if transforms is not None:
-            for r in Uinv:
-                r[s] += q * r[i]
+        for r in Uinv:
+            r[s] += q * r[i]
 
     def col_op(j, s, q):
         # col_j -= q * col_s
         for r in A[t:]:
             r[j] -= q * r[s]
-        if transforms is not None:
-            for r in V:
-                r[j] -= q * r[s]
-            Vinv[s] = [x + q * y for x, y in zip(Vinv[s], Vinv[j])]
+        for r in V:
+            r[j] -= q * r[s]
+        for r in VinvT:
+            r[s] += q * r[j]
 
     def negate_row(i):
         A[i] = [-x for x in A[i]]
-        if transforms is not None:
-            for r in Uinv:
-                r[i] = -r[i]
+        for r in Uinv:
+            r[i] = -r[i]
 
     t = 0
     while t < min(m, n):
@@ -399,12 +396,12 @@ def smith_with_transforms(M: IntMatrix):
     D holding the given nonzero invariant factors (each dividing the next,
     leading 1s included) in its upper-left corner and zeros elsewhere;
     Uinv and V are unimodular and Vinv is the exact inverse of V.  All four
-    are dense row lists.
+    are dense row lists; the elimination keeps Vinv transposed.
     """
-    transforms = [_identity_rows(M.nrows),
-                  _identity_rows(M.ncols), _identity_rows(M.ncols)]
-    factors = _smith(M.to_rows(), transforms)
-    return (factors, *transforms)
+    Uinv, V, VinvT = (_identity_rows(M.nrows),
+                      _identity_rows(M.ncols), _identity_rows(M.ncols))
+    factors = _smith(M.to_rows(), (Uinv, V, VinvT))
+    return factors, Uinv, V, [list(r) for r in zip(*VinvT)]
 
 
 def smith_normal_form(M: IntMatrix) -> tuple:
@@ -420,7 +417,7 @@ def smith_normal_form(M: IntMatrix) -> tuple:
         return (1,) * units
     cols = sorted(set().union(*residue))
     dense = [[row.get(j, 0) for j in cols] for row in residue]
-    return (1,) * units + _smith(dense, None)
+    return (1,) * units + _smith(dense)
 
 
 def check_ring(ring: str) -> None:

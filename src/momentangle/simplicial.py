@@ -14,8 +14,8 @@ its result directly, without re-validating.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from itertools import combinations
-from typing import Iterable, Iterator
 
 from .errors import ParseError
 
@@ -102,11 +102,10 @@ class SimplicialComplex:
         return max(len(f) for f in self.faces) - 1
 
     def facets(self) -> tuple:
-        """Maximal faces, in graded lexicographic order."""
-        return tuple([
-            f for f in self._sorted
-            if not any(f != g and set(f) <= set(g) for g in self.faces)
-        ])
+        """Maximal faces, in graded lexicographic order: by downward closure,
+        the faces that are no codimension-one face of a face."""
+        covered = {h for g in self._sorted if g for h in combinations(g, len(g) - 1)}
+        return tuple([f for f in self._sorted if f not in covered])
 
     def __eq__(self, other):
         return (

@@ -21,7 +21,7 @@ from momentangle.koszul import (
     koszul_differential,
 )
 from momentangle.linalg import add_into, homology_of_pair
-from momentangle.simplicial import SimplicialComplex, enumerate_complexes
+from momentangle.simplicial import SimplicialComplex, enumerate_complexes, face_key
 
 
 def two_points():
@@ -48,6 +48,20 @@ def test_cell_basis_matches_monomial_basis():
                 assert len(cells) == len(monomials)
                 assert {(c.disks, c.circles) for c in cells} == \
                     {(m[1], m[0]) for m in monomials}
+
+
+
+def test_cell_basis_comes_out_sorted_by_disks_then_circles():
+    bidegrees = 0
+    for n in range(1, 5):
+        for K in enumerate_complexes(n):
+            for q in range(n + 1):
+                for p in range(q + 1):
+                    cells = cell_basis(K, p, q)
+                    assert cells == tuple(sorted(
+                        cells, key=lambda c: (face_key(c.disks), face_key(c.circles))))
+                    bidegrees += len(cells) > 1
+    assert bidegrees > 1000
 
 
 def test_boundary_single_disk_signs():

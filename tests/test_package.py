@@ -82,3 +82,13 @@ def test_import_loads_no_dataclasses_inspect_or_multiprocessing():
         heavy = {name for name in added
                  if name.partition(".")[0] in {"dataclasses", "inspect", "multiprocessing"}}
         assert not heavy, heavy
+
+
+def test_import_loads_no_typing():
+    """Annotations are never evaluated, so nothing needs `typing`; without
+    `site` (-S), which may load it itself, the package and the CLI do not."""
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", FOOTPRINT, str(PACKAGE.parent)],
+                         capture_output=True, text=True, timeout=60, check=True)
+    package, cli = (set(line.split()) for line in run.stdout.splitlines())
+    assert "momentangle.report" in package and "momentangle.cli" in cli
+    assert "typing" not in package | cli

@@ -65,13 +65,25 @@ def test_empty_complex_on_one_vertex():
     assert K.facets() == ((),)
 
 
+def brute_force_facets(K):
+    """The faces in no larger face, in graded lexicographic order."""
+    return tuple([f for f in K.faces_sorted()
+                  if not any(f != g and set(f) <= set(g) for g in K.faces)])
+
+
 def test_facets_of_small_complexes():
     assert SimplicialComplex(0, [()]).facets() == ((),)
+    assert SimplicialComplex(3, [()]).facets() == ((),)
     assert SimplicialComplex.from_facets(3, [[1]]).facets() == ((1,),)
     assert SimplicialComplex.from_facets(3, [[1, 2, 3]]).facets() == ((1, 2, 3),)
+    ghost = SimplicialComplex.from_facets(4, [[1, 2], [2, 4]])  # 3 is a ghost vertex
+    assert ghost.facets() == ((1, 2), (2, 4))
+    simplex = SimplicialComplex.from_facets(5, [[1, 2, 3, 4, 5]])
+    assert simplex.facets() == ((1, 2, 3, 4, 5),)
     for n in range(1, 5):
         for K in enumerate_complexes(n):
             facets = K.facets()
+            assert facets == brute_force_facets(K)
             for f in facets:
                 assert not any(f != g and set(f) <= set(g) for g in K.faces)
             for g in K.faces:
