@@ -9,25 +9,24 @@ the differential is the usual alternating sum over face deletions (values
 at tuples that violate admissibility read as zero), and the form indices
 never mix, so the complex splits into one block per index set.  Block
 cohomology is computed from face-deletion matrices of the cover's own
-tuples; the nerve K_I of the Hochster route is never built.  One call
-enumerates the tuples of the cover levels it reads once, each with the
-vertex set of its meet; an index set's block keeps the tuples whose meet
-misses it and is built from those tuple lists alone.  Index sets that cut
-the union of the meets of levels t - 1 and t in the same vertices admit
-the same tuples on every level from t - 1 up, so their blocks are equal:
-each distinct block is solved once per call, and nothing is kept after
-the call.
+tuples; the nerve K_I of the Hochster route is never built.
 
 A block is the relative cochain complex of the pair (full simplex on the
 faces, B), where B holds the tuples whose meet meets the index set and is
-closed under deleting faces; the simplex is contractible, so the block's
-degree-t cohomology is the reduced degree-(t - 1) cohomology of B.  B's
-tuples of degree t - 1 are never more than the block's of degree t, so a
-dimension always ranks B; a basis reads the admissible block, whose
-cocycles the periods integrate.  Both go through homology_of_pair over Q
-(ranks only for a dimension), which checks that the complex it solves
-composes to zero, so the check also covers the filter that chose its
-tuples.
+closed under deleting faces; the simplex is contractible, so the
+connecting map of the pair carries the reduced degree-(t - 1) cohomology
+of B isomorphically onto the block's degree t.  B's tuples of degree
+t - 1 are never more than the block's of degree t, so both a dimension
+and a basis solve B: the dimension ranks it, and the basis carries B's
+representatives through the connecting map to the admissible tuples,
+giving the cocycles the periods integrate.  One call enumerates the
+cover levels t - 2 .. t once, each tuple with the vertex set of its
+meet; index sets that cut the union of the meets of levels t - 1 and t
+in the same vertices have the same B, so each distinct B is solved once
+per call, and nothing is kept after the call.  Every solve goes through
+homology_of_pair over Q (ranks only for a dimension), which checks that
+the complex it solves composes to zero, so the check also covers the
+filter that chose its tuples.
 
 A period pairs one cocycle with the resolvent level of its own cover
 degree, integrating each tuple's form over the matching chain entry; the
@@ -151,70 +150,55 @@ def block_matrix(K: SimplicialComplex, I: tuple, t: int) -> IntMatrix:
     return _coboundary(block_tuples(K, I, t), block_tuples(K, I, t + 1))
 
 
-def _cover_levels(K: SimplicialComplex, r: int, t: int, bottom: int, top: int):
-    """Cover levels bottom .. top with meet bitmasks, and the r-sets by key.
+def _cover_levels(K: SimplicialComplex, r: int, t: int):
+    """Cover levels t - 2 .. t with meet bitmasks, and the r-sets by key.
 
     Each level s is block_tuples(K, (), s) as a list of (tuple, bitmask of
     its meet).  The key of an r-set is the set of vertices in which it cuts
-    the union of the meets on levels t - 1 and t.  Deleting a face from a
-    tuple enlarges its meet, so each meet on a level above t lies in one on
-    level t, and r-sets with one key admit the same tuples on every level
-    from t - 1 up.  The groups map each key to its r-sets in ascending
-    order, keys in the order of their first r-set.
+    the union of the meets on levels t - 1 and t, so r-sets with one key
+    admit the same tuples on those levels.  The groups map each key to its
+    r-sets in ascending order, keys in the order of their first r-set.
     """
     mask = {f: sum(1 << v for v in f) for f in K.faces_sorted()}
     levels = [[(T, reduce(and_, map(mask.get, T))) for T in block_tuples(K, (), s)]
-              for s in range(bottom, top + 1)]
-    meet_vertices = reduce(
-        or_, (m for level in levels[t - 1 - bottom:t + 1 - bottom] for _, m in level), 0)
+              for s in range(t - 2, t + 1)]
+    meet_vertices = reduce(or_, (m for level in levels[1:] for _, m in level), 0)
     groups = {}
     for I in combinations(range(1, K.n + 1), r):
         groups.setdefault(sum(1 << v for v in I) & meet_vertices, []).append(I)
     return levels, groups
 
 
-def _blocks(K: SimplicialComplex, r: int, t: int):
-    """(index_sets, tuples, d_in, d_out) for each distinct nonempty degree-t block.
-
-    The block of an r-set I keeps, on levels t - 1, t and t + 1, the tuples
-    whose meet misses I, in ascending order (block_tuples(K, I, s)), and
-    builds its two differentials from those lists with _coboundary, as
-    block_matrix does; at t = 0 the incoming differential has no columns.
-    r-sets with one key (see _cover_levels) share one block, yielded once
-    with all of them.
-    """
-    levels, groups = _cover_levels(K, r, t, t - 1, t + 1)
-    for key, index_sets in groups.items():
-        low, mid, high = ([T for T, m in level if not m & key] for level in levels)
-        if mid:
-            yield index_sets, mid, _coboundary(low, mid), _coboundary(mid, high)
-
-
 def _complements(K: SimplicialComplex, r: int, t: int):
-    """(index_sets, low, mid, high) of B on levels t - 2, t - 1, t, per key.
+    """(index_sets, low, mid, high, admissible) per key: B on levels t - 2 .. t.
 
     B is the family of tuples whose meet meets the key.  Deleting a face
     only enlarges a meet, so B is closed under deletion; the key's block is
     the relative cochain complex of the full simplex on the faces modulo B,
-    which is contractible, so the connecting map of the pair is an
-    isomorphism from the reduced degree-(t - 1) cohomology of B onto the
-    block's degree t.  Level -1 of B is the empty tuple whatever the key
-    (the augmented convention), so an empty B has its one class in degree
-    -1.  The empty face lies in every complex, and putting it in front of a
-    tuple of B gives a tuple one level up with an empty meet, so mid is
-    never longer than the block's middle.  The key comes from the meets on
-    levels t - 1 and t (see _cover_levels), which decides B exactly on
-    those levels; on level t - 2 it may leave out a tuple whose meet
-    meets an r-set only outside those meets, but no tuple of B on level
-    t - 1 contains such a tuple, so it would only add a zero column to the
-    incoming differential.  A degree past the face count has no tuples,
-    hence no cohomology, and yields nothing.
+    which is contractible, so the connecting map of the pair, extending a
+    cocycle of B by zero and taking its coboundary, is an isomorphism from
+    the reduced degree-(t - 1) cohomology of B onto the block's degree t.
+    It lands on the admissible level-t tuples, whose meet misses the key,
+    which admissible yields in ascending order if read before the next key.
+    Level -1 of B is the empty tuple whatever the key (the augmented
+    convention), so an empty B has its one class in degree -1.  The empty
+    face lies in every complex, and putting it in front of a tuple of B
+    gives an admissible tuple one level up, so mid is never longer than
+    the admissible tuples.  The key comes from the meets on levels t - 1
+    and t (see _cover_levels), which decides B exactly on those levels; on
+    level t - 2 it may leave out a tuple whose meet meets an r-set only
+    outside those meets, but no tuple of B on level t - 1 contains such a
+    tuple, so it would only add a zero column to the incoming differential.
+    A degree past the face count has no tuples, hence no cohomology, and
+    yields nothing.
     """
-    levels, groups = _cover_levels(K, r, t, t - 2, t)
+    levels, groups = _cover_levels(K, r, t)
     if levels[2]:
         for key, index_sets in groups.items():
-            yield index_sets, *([()] if s == -1 else [T for T, m in level if m & key]
-                                for s, level in enumerate(levels, t - 2))
+            yield (index_sets,
+                   *([()] if s == -1 else [T for T, m in level if m & key]
+                     for s, level in enumerate(levels, t - 2)),
+                   (T for T, m in levels[2] if not m & key))
 
 
 def log_cohomology_dim(K: SimplicialComplex, r: int, t: int) -> int:
@@ -228,23 +212,34 @@ def log_cohomology_dim(K: SimplicialComplex, r: int, t: int) -> int:
     """
     return sum(len(index_sets) * homology_of_pair(_coboundary(low, mid), _coboundary(mid, high),
                                                   ring="Q", want_representatives=False).rank
-               for index_sets, low, mid, high in _complements(K, r, t))
+               for index_sets, low, mid, high, _ in _complements(K, r, t))
 
 
 def log_cohomology_basis(K: SimplicialComplex, r: int, t: int) -> list:
     """Cocycle representatives of a basis of the degree-t cohomology.
 
-    Each representative is concentrated in a single index set (the
-    complex splits), with exact rational coefficients; index sets come in
-    ascending order, and each distinct block is solved once.
+    Each key's classes are the rational representatives of B's degree
+    t - 1 (see _complements), carried to the admissible level-t tuples by
+    the connecting map with the sign (-1)^t; homology_of_pair raises
+    CompositionError if B's differentials have d_out * d_in != 0.  Each
+    representative is concentrated in a single index set (the complex
+    splits), with exact rational coefficients; index sets come in
+    ascending order, and each distinct key is solved once.
     """
+    sign = -1 if t % 2 else 1
     found = []
-    for index_sets, tuples, d_in, d_out in _blocks(K, r, t):
-        reps = homology_of_pair(d_in, d_out, ring="Q").representatives
-        found += [(I, tuples, reps) for I in index_sets]
+    for index_sets, low, mid, high, admissible in _complements(K, r, t):
+        reps = homology_of_pair(_coboundary(low, mid), _coboundary(mid, high),
+                                ring="Q").representatives
+        if reps:
+            tuples = list(admissible)
+            delta = _coboundary(mid, tuples)
+            cocycles = [[sign * sum(a * c[j] for j, a in row.items()) for row in delta.rows]
+                        for c in reps]
+            found += [(I, tuples, cocycles) for I in index_sets]
     basis = []
-    for I, tuples, reps in sorted(found, key=lambda f: f[0]):
-        for vec in reps:
+    for I, tuples, cocycles in sorted(found, key=lambda f: f[0]):
+        for vec in cocycles:
             w = LogCochain(K, r, t)
             for T, c in zip(tuples, vec):
                 if c:

@@ -95,15 +95,23 @@ def test_verify_three_engines_square(square_file):
                      "--engines", "koszul,hochster,cech"]) == 0
 
 
-@pytest.mark.slow
 def test_verify_three_engines_prism(tmp_path, capsys):
-    # n = 6 with 9 edges (16 faces): the Čech dimensions of its high cover
-    # degrees come from the complements; the period matrices take seconds
+    # n = 6 with 9 edges (16 faces): the Čech dimensions and cocycle bases of
+    # its high cover degrees both come from the complements of the blocks
     path = tmp_path / "prism.json"
     path.write_text('{"n": 6, "facets": [[1,2],[2,3],[3,1],[4,5],[5,6],[6,4],'
                     '[1,4],[2,5],[3,6]]}')
     assert cli.main(["verify", str(path), "--engines", "koszul,hochster,cech"]) == 0
     assert "ok: engines koszul, hochster, cech agree on 28 bidegrees" in capsys.readouterr().out
+
+
+@pytest.mark.slow
+def test_verify_three_engines_octahedron_boundary(tmp_path):
+    # n = 6 with 8 triangles (27 faces), cover degrees up to 26
+    path = tmp_path / "octahedron.json"
+    path.write_text('{"n": 6, "facets": [[1,2,3],[1,2,6],[1,5,3],[1,5,6],'
+                    '[4,2,3],[4,2,6],[4,5,3],[4,5,6]]}')
+    assert cli.main(["verify", str(path), "--engines", "koszul,hochster,cech"]) == 0
 
 
 def test_verify_unknown_engine_exits_2(two_points_file, capsys):
