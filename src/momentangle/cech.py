@@ -27,9 +27,13 @@ def canonical_tuple(faces: tuple):
     """Ascending reordering of a face tuple and the permutation sign.
 
     Returns (None, 0) when a face repeats, since alternation kills the
-    entry.
+    entry.  A tuple already strictly ascending, as every tuple the period
+    path builds is, comes back as it is with the sign 1, without a sort.
     """
-    order = sorted(range(len(faces)), key=lambda i: face_key(faces[i]))
+    keys = [face_key(f) for f in faces]
+    if all(a < b for a, b in zip(keys, keys[1:])):
+        return tuple(faces), 1
+    order = sorted(range(len(faces)), key=keys.__getitem__)
     arranged = tuple([faces[i] for i in order])
     for a, b in zip(arranged, arranged[1:]):
         if a == b:
@@ -227,12 +231,12 @@ def validate_resolvent(K: SimplicialComplex, res: Resolvent) -> tuple:
     ``(False, message)`` describing the first failing identity.
 
     Verified exactly: the cycle is a homogeneous boundaryless chain in
-    position (p, q); level 0 sums back to it; every stored tuple is
-    strictly ascending and made of faces, with entry discs inside the
-    smallest face of the tuple; each level's entrywise boundary equals
-    (-1)^(s - level) times the face-deletion of the next level; and the
-    last level's entrywise boundary vanishes.  The cycle checked is the
-    one stored on the resolvent.
+    position (p, q); level 0 sums back to it; every stored tuple has its
+    level's length, is strictly ascending and is made of faces, with entry
+    discs inside the smallest face of the tuple; each level's entrywise
+    boundary equals (-1)^(s - level) times the face-deletion of the next
+    level; and the last level's entrywise boundary vanishes.  The cycle
+    checked is the one stored on the resolvent.
     """
     p, q, s = res.p, res.q, res.total_degree
     cycle = res.cycle
@@ -253,6 +257,8 @@ def validate_resolvent(K: SimplicialComplex, res: Resolvent) -> tuple:
         if level.t != i:
             return False, f"level {i} stored at tuple length {level.t + 1}"
         for faces, chain in level.entries.items():
+            if len(faces) != i + 1:
+                return False, f"level {i} stores the {len(faces)}-tuple {faces}"
             for a, b in zip(faces, faces[1:]):
                 if face_key(a) >= face_key(b):
                     return False, f"tuple {faces} is not strictly ascending"

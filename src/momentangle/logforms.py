@@ -19,14 +19,17 @@ of B isomorphically onto the block's degree t.  B's tuples of degree
 t - 1 are never more than the block's of degree t, so both a dimension
 and a basis solve B: the dimension ranks it, and the basis carries B's
 representatives through the connecting map to the admissible tuples,
-giving the cocycles the periods integrate.  One call enumerates the
-cover levels t - 2 .. t once, each tuple with the vertex set of its
-meet; index sets that cut the union of the meets of levels t - 1 and t
-in the same vertices have the same B, so each distinct B is solved once
-per call, and nothing is kept after the call.  Every solve goes through
-homology_of_pair over Q (ranks only for a dimension), which checks that
-the complex it solves composes to zero, so the check also covers the
-filter that chose its tuples.
+giving the cocycles the periods integrate.  The basis runs that map in
+integers, on each representative cleared of its denominators, and writes
+the values straight into the cochains, whose tuples it built canonical
+and admissible itself.  One call enumerates the cover levels t - 2 .. t
+once, each tuple with the vertex set of its meet; index sets that cut
+the union of the meets of levels t - 1 and t in the same vertices have
+the same B, so each distinct B is solved once per call, and nothing is
+kept after the call.  Every solve goes through homology_of_pair over Q
+(ranks only for a dimension), which checks that the complex it solves
+composes to zero, so the check also covers the filter that chose its
+tuples.
 
 A period pairs one cocycle with the resolvent level of its own cover
 degree, integrating each tuple's form over the matching chain entry; the
@@ -44,7 +47,7 @@ from operator import and_, or_
 from ._record import Record
 from .cech import Resolvent, _FaceTupleFamily, build_resolvent
 from .cells import Cell, homology_cycle_basis
-from .linalg import IntMatrix, homology_of_pair
+from .linalg import IntMatrix, _integral, homology_of_pair
 from .simplicial import SimplicialComplex
 
 
@@ -221,10 +224,16 @@ def log_cohomology_basis(K: SimplicialComplex, r: int, t: int) -> list:
     Each key's classes are the rational representatives of B's degree
     t - 1 (see _complements), carried to the admissible level-t tuples by
     the connecting map with the sign (-1)^t; homology_of_pair raises
-    CompositionError if B's differentials have d_out * d_in != 0.  Each
-    representative is concentrated in a single index set (the complex
-    splits), with exact rational coefficients; index sets come in
-    ascending order, and each distinct key is solved once.
+    CompositionError if B's differentials have d_out * d_in != 0.  The
+    connecting map runs in integers: each representative is cleared of
+    denominators once, and each entry is one Fraction of an integer sum
+    over that common denominator.  Each representative is concentrated in
+    a single index set (the complex splits), with exact rational
+    coefficients; index sets come in ascending order, and each distinct
+    key is solved once.  The entries are written straight into their
+    cochains without LogCochain.add: the admissible tuples are distinct
+    canonical tuples of faces whose meet misses the index set, which is
+    all that add would check.
     """
     sign = -1 if t % 2 else 1
     found = []
@@ -234,16 +243,18 @@ def log_cohomology_basis(K: SimplicialComplex, r: int, t: int) -> list:
         if reps:
             tuples = list(admissible)
             delta = _coboundary(mid, tuples)
-            cocycles = [[sign * sum(a * c[j] for j, a in row.items()) for row in delta.rows]
-                        for c in reps]
-            found += [(I, tuples, cocycles) for I in index_sets]
+            cocycles = []
+            for c in reps:
+                v, s = _integral(c)
+                values = ((T, sign * sum(a * v.get(j, 0) for j, a in row.items()))
+                          for T, row in zip(tuples, delta.rows))
+                cocycles.append({T: Fraction(x, s) for T, x in values if x})
+            found += [(I, cocycles) for I in index_sets]
     basis = []
-    for I, tuples, cocycles in sorted(found, key=lambda f: f[0]):
-        for vec in cocycles:
+    for I, cocycles in sorted(found, key=lambda f: f[0]):
+        for cocycle in cocycles:
             w = LogCochain(K, r, t)
-            for T, c in zip(tuples, vec):
-                if c:
-                    w.add(T, I, c)
+            w.entries = {T: {I: c} for T, c in cocycle.items()}
             basis.append(w)
     return basis
 

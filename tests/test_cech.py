@@ -1,6 +1,7 @@
 """Tests for face-indexed chain families and resolvents."""
 
 import random
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -12,7 +13,8 @@ from momentangle.cech import (
     validate_resolvent,
 )
 from momentangle.cells import Cell, apply_boundary, homology_cycle_basis
-from momentangle.simplicial import SimplicialComplex, enumerate_complexes
+from momentangle.simplicial import SimplicialComplex, enumerate_complexes, face_key
+from test_hochster import projective_plane_six, square
 
 
 def two_points():
@@ -30,6 +32,30 @@ def test_canonical_tuple_sorts_and_signs():
     assert canonical_tuple(((1,), (1,))) == (None, 0)
     # size dominates lex order
     assert canonical_tuple(((1, 2), (3,))) == (((3,), (1, 2)), -1)
+
+
+@pytest.mark.parametrize("K, length", [
+    (square(), 4),
+    (projective_plane_six(), 3),
+    # all 32^4 = 1,048,576 ordered 4-tuples of RP2's faces
+    pytest.param(projective_plane_six(), 4, marks=pytest.mark.slow),
+], ids=["square", "rp2", "rp2-4"])
+def test_canonical_tuple_matches_sorting_and_counting_inversions(K, length):
+    # every ordering of every tuple of `length` faces, repeats included: a
+    # tuple of distinct faces sorts to its ascending multiset, signed by the
+    # inversions of the permutation; an ascending tuple comes back as it is
+    faces = sorted(K.faces, key=face_key)
+    perms = [(perm, (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]))
+             for perm in permutations(range(length))]
+    for ascending in combinations_with_replacement(faces, length):
+        if len(set(ascending)) < length:
+            for T in set(permutations(ascending)):
+                assert canonical_tuple(T) == (None, 0), T
+            continue
+        assert canonical_tuple(ascending)[0] is ascending
+        for perm, sign in perms:
+            T = tuple([ascending[i] for i in perm])
+            assert canonical_tuple(T) == (ascending, sign), T
 
 
 def test_chain_alternation():
@@ -164,6 +190,16 @@ def test_validate_detects_wrong_cycle():
     ok, message = validate_resolvent(K, broken)
     assert not ok
     assert "cycle" in message
+
+
+def test_validate_reports_a_tuple_of_the_wrong_length():
+    K = square()
+    res = build_resolvent(K, homology_cycle_basis(K, 1, 2)[0])
+    # ascending, made of faces, with discs inside the meet: only the length is wrong
+    res.levels[1].entries[((), (1,), (2,))] = {Cell((), (3, 4)): 1}
+    ok, message = validate_resolvent(K, res)
+    assert not ok
+    assert "3-tuple" in message
 
 
 def test_resolvents_of_all_basis_cycles_validate():

@@ -483,6 +483,53 @@ def test_period_matrices_are_unimodular():
     assert seen == 537 + 7
 
 
+def _validated_basis(K, r, t):
+    # the connecting map as one Fraction product per term, each entry
+    # through the validating LogCochain.add
+    sign = -1 if t % 2 else 1
+    found = []
+    for index_sets, low, mid, high, admissible in logforms._complements(K, r, t):
+        reps = homology_of_pair(logforms._coboundary(low, mid),
+                                logforms._coboundary(mid, high), ring="Q").representatives
+        if reps:
+            tuples = list(admissible)
+            delta = logforms._coboundary(mid, tuples)
+            cocycles = [[sign * sum(a * c[j] for j, a in row.items()) for row in delta.rows]
+                        for c in reps]
+            found += [(I, tuples, cocycles) for I in index_sets]
+    basis = []
+    for I, tuples, cocycles in sorted(found, key=lambda f: f[0]):
+        for vec in cocycles:
+            w = LogCochain(K, r, t)
+            for T, c in zip(tuples, vec):
+                if c:
+                    w.add(T, I, c)
+            basis.append(w)
+    return basis
+
+
+def _entries_in_order(basis):
+    return [[(T, [(I, type(c), c) for I, c in forms.items()]) for T, forms in w.entries.items()]
+            for w in basis]
+
+
+def test_log_cohomology_basis_equals_the_validated_basis():
+    # log_cohomology_basis writes its entries without LogCochain.add; every
+    # entry, its type and its order must be what add would have stored
+    targets = [K for n in (1, 2, 3, 4) for K in enumerate_complexes(n) if len(K.faces) <= 9]
+    targets.append(SimplicialComplex.from_facets(6, PRISM))
+    seen = 0
+    for K in targets:
+        for q in range(K.n + 1):
+            for p in range(q + 1):
+                basis = log_cohomology_basis(K, q, q - p)
+                if basis:
+                    seen += 1
+                    want = _entries_in_order(_validated_basis(K, q, q - p))
+                    assert _entries_in_order(basis) == want, (K, p, q)
+    assert seen == 537 + 7
+
+
 # exact period matrices of the points-and-an-edge complex on 5 vertices, a
 # sample of the (n = 5, 6 faces) periods stratum; a change in the cocycle
 # basis that keeps the matrices nonsingular still changes these entries
