@@ -23,7 +23,7 @@ from momentangle import (
 
 def show(K, p, q):
     for cycle in homology_cycle_basis(K, p, q):
-        res = build_resolvent(K, cycle, p=p, q=q)
+        res = build_resolvent(K, cycle)
         ok, message = validate_resolvent(K, res)
         print(f"cycle at ({p}, {q}) with {len(res.levels)} levels "
               f"-> valid: {ok}{message and ' (' + message + ')'}")

@@ -39,7 +39,7 @@ w.add(((), (1,)), (1, 2), 1)
 w.add(((1,), (2,)), (1, 2), -1)
 assert w.differential().is_zero()
 [cycle] = homology_cycle_basis(plane, 1, 2)
-ladder = build_resolvent(plane, cycle, p=1, q=2)
+ladder = build_resolvent(plane, cycle)
 period = period_of_cycle(w, ladder)
 print(f"  hand-written class integrates to {period.coefficient} "
       f"x (2 pi i)^{period.power}")

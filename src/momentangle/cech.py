@@ -127,12 +127,6 @@ class CechChain(_FaceTupleFamily):
             add_into(total, chain)
         return total
 
-    def scaled(self, c) -> "CechChain":
-        out = CechChain(self.t)
-        for faces, chain in self.entries.items():
-            out.add(faces, chain, c)
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, CechChain)
@@ -164,40 +158,47 @@ class Resolvent(Record):
         return 2 * self.q - self.p
 
 
-def _homogeneous_position(cycle: CellChain):
-    positions = {(len(c.circles), len(c.circles) + len(c.disks)) for c in cycle}
-    if len(positions) != 1:
-        raise ValueError(f"cycle is not homogeneous: positions {sorted(positions)}")
-    return positions.pop()
+def _position(cell) -> tuple:
+    return len(cell.circles), len(cell.circles) + len(cell.disks)
 
 
-def build_resolvent(K: SimplicialComplex, cycle: CellChain,
-                    p: int = None, q: int = None) -> Resolvent:
+def _cycle_problem(K: SimplicialComplex, cycle: CellChain, p: int, q: int) -> str:
+    """The first way the cycle fails to be a cycle of K at (p, q), or ""."""
+    positions = {_position(cell) for cell in cycle}
+    if len(positions) > 1:
+        return f"cycle is not homogeneous: positions {sorted(positions)}"
+    if positions - {(p, q)}:
+        return f"cycle sits at position {positions.pop()}, not the declared ({p}, {q})"
+    if apply_boundary(cycle):
+        return "the chain is not a cycle"
+    for cell in cycle:
+        if not K.has_face(cell.disks):
+            return f"disc set {cell.disks} is not a face"
+    return ""
+
+
+def build_resolvent(K: SimplicialComplex, cycle: CellChain) -> Resolvent:
     """Construct a resolvent of the given cycle level by level.
 
-    Level 0 splits the cycle by disc set.  Each next level distributes the
-    entrywise boundary of the previous one: the boundary term that freed
-    the disc at index i lands at the tuple extended by the smaller disc
-    set, scaled by (-1)^(s - level).  The tower ends when no discs remain.
-    A position (p, q) given with a nonempty cycle must be the cycle's own.
+    Zero coefficients are dropped and (p, q) is read from the cycle's
+    cells.  The zero chain, which has no position, and a cycle that fails
+    validate_resolvent's cycle check raise ValueError.  Level 0 splits the
+    cycle by disc set.  Each next level distributes the entrywise boundary
+    of the previous one: the boundary term that freed the disc at index i
+    lands at the tuple extended by the smaller disc set, scaled by
+    (-1)^(s - level).  The tower ends when no discs remain.
     """
-    if cycle:
-        position = _homogeneous_position(cycle)
-        if any(given is not None and given != found
-               for given, found in zip((p, q), position)):
-            raise ValueError(f"cycle sits at position {position}, "
-                             f"not the given ({p}, {q})")
-        p, q = position
-    elif p is None or q is None:
-        raise ValueError("empty cycle needs an explicit position (p, q)")
-    if apply_boundary(cycle):
-        raise ValueError("chain is not a cycle")
+    cycle = {cell: c for cell, c in cycle.items() if c}
+    if not cycle:
+        raise ValueError("the zero chain has no position")
+    p, q = _position(next(iter(cycle)))
+    problem = _cycle_problem(K, cycle, p, q)
+    if problem:
+        raise ValueError(problem)
     s = 2 * q - p
 
     level0 = CechChain(0)
     for cell, coeff in cycle.items():
-        if not K.has_face(cell.disks):
-            raise ValueError(f"disc set {cell.disks} is not a face")
         level0.add((cell.disks,), {cell: coeff})
     levels = [level0]
 
@@ -217,7 +218,7 @@ def build_resolvent(K: SimplicialComplex, cycle: CellChain,
 
     while len(levels) > 1 and levels[-1].is_zero():
         levels.pop()
-    res = Resolvent(p, q, dict(cycle), tuple(levels))
+    res = Resolvent(p, q, cycle, tuple(levels))
     ok, message = validate_resolvent(K, res)
     if not ok:
         raise InvariantViolation(f"constructed resolvent is inconsistent: {message}")
@@ -230,26 +231,19 @@ def validate_resolvent(K: SimplicialComplex, res: Resolvent) -> tuple:
     Returns ``(True, "")`` when everything holds, otherwise
     ``(False, message)`` describing the first failing identity.
 
-    Verified exactly: the cycle is a homogeneous boundaryless chain in
-    position (p, q); level 0 sums back to it; every stored tuple has its
-    level's length, is strictly ascending and is made of faces, with entry
-    discs inside the smallest face of the tuple; each level's entrywise
-    boundary equals (-1)^(s - level) times the face-deletion of the next
-    level; and the last level's entrywise boundary vanishes.  The cycle
-    checked is the one stored on the resolvent.
+    Verified exactly: the cycle stored on the resolvent is a homogeneous
+    chain at the declared position (p, q), boundaryless, with every disc
+    set a face of K (the check build_resolvent makes); level 0 sums back
+    to it; every stored tuple has its level's length, is in canonical
+    order and is made of faces, with entry discs inside the smallest face
+    of the tuple; and, level by level, the face-deletion of the next level
+    minus (-1)^(s - level) times the entrywise boundary cancels to zero,
+    the top level having nothing to delete, so its boundary vanishes.
     """
     p, q, s = res.p, res.q, res.total_degree
-    cycle = res.cycle
-    if cycle:
-        try:
-            position = _homogeneous_position(cycle)
-        except ValueError as exc:
-            return False, str(exc)
-        if position != (p, q):
-            return False, (f"cycle sits at position {position}, "
-                           f"not the declared ({p}, {q})")
-    if apply_boundary(cycle):
-        return False, "the chain is not a cycle"
+    problem = _cycle_problem(K, res.cycle, p, q)
+    if problem:
+        return False, problem
     if not res.levels:
         return False, "resolvent has no levels"
 
@@ -259,9 +253,8 @@ def validate_resolvent(K: SimplicialComplex, res: Resolvent) -> tuple:
         for faces, chain in level.entries.items():
             if len(faces) != i + 1:
                 return False, f"level {i} stores the {len(faces)}-tuple {faces}"
-            for a, b in zip(faces, faces[1:]):
-                if face_key(a) >= face_key(b):
-                    return False, f"tuple {faces} is not strictly ascending"
+            if canonical_tuple(faces) != (faces, 1):
+                return False, f"tuple {faces} is not strictly ascending"
             meet = set(faces[0])
             for f in faces:
                 if not K.has_face(f):
@@ -275,17 +268,19 @@ def validate_resolvent(K: SimplicialComplex, res: Resolvent) -> tuple:
                 if not set(cell.disks) <= meet:
                     return False, (f"entry at {faces} escapes its support: "
                                    f"discs {cell.disks}")
-                if (len(cell.circles), len(cell.disks) + len(cell.circles)) != (p + i, q):
+                if _position(cell) != (p + i, q):
                     return False, (f"entry at {faces} has a cell outside "
                                    f"position ({p + i}, {q})")
 
-    if res.levels[0].augment() != cycle:
+    if res.levels[0].augment() != res.cycle:
         return False, "level 0 does not sum to the cycle"
-    for i in range(len(res.levels) - 1):
-        expected = res.levels[i + 1].delete_faces().scaled(1 if (s - i) % 2 == 0 else -1)
-        if res.levels[i].boundary() != expected:
-            return False, (f"boundary of level {i} differs from the signed "
+    top = len(res.levels) - 1
+    for i, level in enumerate(res.levels):
+        residue = res.levels[i + 1].delete_faces() if i < top else CechChain(i)
+        for faces, chain in level.entries.items():
+            residue.add(faces, apply_boundary(chain), 1 if (s - i) % 2 else -1)
+        if not residue.is_zero():
+            return False, ("top level still has a boundary" if i == top else
+                           f"boundary of level {i} differs from the signed "
                            f"deletion of level {i + 1}")
-    if not res.levels[-1].boundary().is_zero():
-        return False, "top level still has a boundary"
     return True, ""

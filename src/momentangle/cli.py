@@ -316,7 +316,7 @@ def cmd_resolvent(args) -> int:
     classes = []
     for cycle in homology_cycle_basis(K, p, q):
         # build_resolvent validates the ladder and raises when it fails
-        res = build_resolvent(K, cycle, p=p, q=q)
+        res = build_resolvent(K, cycle)
         levels = [{"t": level.t,
                    "entries": [{"tuple": format_face_tuple(faces),
                                 "chain": format_chain(level.entries[faces])}

@@ -182,7 +182,7 @@ def _complements(K: SimplicialComplex, r: int, t: int):
     cocycle of B by zero and taking its coboundary, is an isomorphism from
     the reduced degree-(t - 1) cohomology of B onto the block's degree t.
     It lands on the admissible level-t tuples, whose meet misses the key,
-    which admissible yields in ascending order if read before the next key.
+    which admissible yields lazily in ascending order.
     Level -1 of B is the empty tuple whatever the key (the augmented
     convention), so an empty B has its one class in degree -1.  The empty
     face lies in every complex, and putting it in front of a tuple of B
@@ -201,7 +201,12 @@ def _complements(K: SimplicialComplex, r: int, t: int):
             yield (index_sets,
                    *([()] if s == -1 else [T for T, m in level if m & key]
                      for s, level in enumerate(levels, t - 2)),
-                   (T for T, m in levels[2] if not m & key))
+                   _missing(levels[2], key))
+
+
+def _missing(level: list, key: int):
+    """The tuples of a cover level whose meet misses the key, lazily."""
+    return (T for T, m in level if not m & key)
 
 
 def log_cohomology_dim(K: SimplicialComplex, r: int, t: int) -> int:
@@ -320,7 +325,7 @@ def period_matrix(K: SimplicialComplex, p: int, q: int):
     matrix[i][j], the coefficient of the period of cocycle j over cycle i.
     Every nonzero period here carries the power q of (2 pi i).
     """
-    resolvents = [build_resolvent(K, c, p=p, q=q)
+    resolvents = [build_resolvent(K, c)
                   for c in homology_cycle_basis(K, p, q)]
     cocycles = log_cohomology_basis(K, q, q - p)
     matrix = [

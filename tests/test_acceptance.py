@@ -171,7 +171,7 @@ def test_criterion_7_period_nondegeneracy_and_vanishing(capsys, suite):
             bases = {}
             for (p, q) in nonzero:
                 cycles = homology_cycle_basis(K, p, q)
-                resolvents[(p, q)] = [build_resolvent(K, c, p=p, q=q)
+                resolvents[(p, q)] = [build_resolvent(K, c)
                                       for c in cycles]
                 bases[(p, q)] = log_cohomology_basis(K, q, q - p)
 
@@ -214,7 +214,7 @@ def test_criterion_8_resolvent_suite(capsys, suite):
             for q in range(0, K.n + 1):
                 for p in range(0, q + 1):
                     for cycle in homology_cycle_basis(K, p, q):
-                        res = build_resolvent(K, cycle, p=p, q=q)
+                        res = build_resolvent(K, cycle)
                         ok, message = validate_resolvent(K, res)
                         assert ok, (K, p, q, message)
                         checked += 1

@@ -131,10 +131,20 @@ def test_resolvent_of_sphere_cycle_matches_hand_computation():
 
 def test_resolvent_zero_cycle():
     K = two_points()
-    res = build_resolvent(K, {}, p=1, q=2)
-    assert len(res.levels) == 1
-    assert res.levels[0].is_zero()
-    assert validate_resolvent(K, res) == (True, "")
+    # the zero chain has no position to build at, but a zero ladder at a
+    # declared position is a valid resolvent
+    assert validate_resolvent(K, Resolvent(1, 2, {}, (CechChain(0),))) == (True, "")
+    with pytest.raises(ValueError, match="no position"):
+        build_resolvent(K, {})
+    with pytest.raises(ValueError, match="no position"):
+        build_resolvent(K, {Cell((), (1, 2)): 0})
+
+
+def test_resolvent_ignores_zero_coefficients():
+    K = two_points()
+    padded = dict(sphere_cycle())
+    padded[Cell((1, 2), ())] = 0
+    assert build_resolvent(K, padded) == build_resolvent(K, sphere_cycle())
 
 
 def test_resolvent_rejects_non_cycle():
@@ -150,12 +160,12 @@ def test_resolvent_rejects_mixed_positions():
 
 def test_resolvent_rejects_a_position_other_than_the_cycles():
     K = two_points()
-    with pytest.raises(ValueError, match="position"):
-        build_resolvent(K, sphere_cycle(), p=0, q=1)
-    with pytest.raises(ValueError, match="position"):
-        build_resolvent(K, sphere_cycle(), q=3)
-    res = build_resolvent(K, sphere_cycle(), p=1, q=2)
+    res = build_resolvent(K, sphere_cycle())
     assert (res.p, res.q) == (1, 2)
+    for p, q in [(0, 1), (1, 3)]:
+        ok, message = validate_resolvent(K, Resolvent(p, q, res.cycle, res.levels))
+        assert not ok
+        assert message == f"cycle sits at position (1, 2), not the declared ({p}, {q})"
 
 
 def test_validate_detects_sign_corruption():
@@ -200,6 +210,86 @@ def test_validate_reports_a_tuple_of_the_wrong_length():
     ok, message = validate_resolvent(K, res)
     assert not ok
     assert "3-tuple" in message
+
+
+def square_ladder():
+    """The square's three-level resolvent at (2, 4)."""
+    K = square()
+    [cycle] = homology_cycle_basis(K, 2, 4)
+    return K, build_resolvent(K, cycle)
+
+
+def negated(level):
+    out = CechChain(level.t)
+    for faces, chain in level.entries.items():
+        out.add(faces, chain, -1)
+    return out
+
+
+def with_entry(res, i, faces, chain):
+    res.levels[i].entries[faces] = chain
+    return res
+
+
+def with_cycle(res, cycle):
+    return Resolvent(res.p, res.q, cycle, res.levels)
+
+
+def with_levels(res, *levels):
+    return Resolvent(res.p, res.q, res.cycle, levels)
+
+
+# one corruption per failure message of validate_resolvent, in the order
+# the checks run
+CORRUPTIONS = {
+    "inhomogeneous": (lambda r: with_cycle(r, {**r.cycle, Cell((), (1,)): 1}),
+                      "cycle is not homogeneous: positions [(1, 1), (2, 4)]"),
+    "declared-position": (lambda r: Resolvent(1, 4, r.cycle, r.levels),
+                          "cycle sits at position (2, 4), not the declared (1, 4)"),
+    "not-a-cycle": (lambda r: with_cycle(r, {Cell((1, 2), (3, 4)): 1}),
+                    "the chain is not a cycle"),
+    # a boundary, so a cycle, with the non-face disc set (1, 3)
+    "non-face-disc-set": (lambda r: with_cycle(r, apply_boundary({Cell((1, 2, 3), (4,)): 1})),
+                          "disc set (1, 3) is not a face"),
+    "no-levels": (lambda r: with_levels(r), "resolvent has no levels"),
+    "wrong-t": (lambda r: with_levels(r, r.levels[0], r.levels[2], r.levels[1]),
+                "level 1 stored at tuple length 3"),
+    "tuple-length": (lambda r: with_entry(r, 1, ((), (1,), (1, 2)), {Cell((1,), (2, 3, 4)): 1}),
+                     "level 1 stores the 3-tuple ((), (1,), (1, 2))"),
+    "not-ascending": (lambda r: with_entry(r, 1, ((1, 2), (2,)), {Cell((2,), (1, 3, 4)): 1}),
+                      "tuple ((1, 2), (2,)) is not strictly ascending"),
+    "non-face": (lambda r: with_entry(r, 1, ((1,), (1, 3)), {Cell((1,), (2, 3, 4)): 1}),
+                 "tuple ((1,), (1, 3)) uses the non-face (1, 3)"),
+    "empty-entry": (lambda r: with_entry(r, 1, ((2,), (1, 2)), {}),
+                    "empty entry stored at ((2,), (1, 2))"),
+    "zero-coefficient": (lambda r: with_entry(r, 1, ((2,), (1, 2)), {Cell((2,), (1, 3, 4)): 0}),
+                         "zero coefficient stored at ((2,), (1, 2))"),
+    "escaping-support": (lambda r: with_entry(r, 1, ((1,), (1, 2)), {Cell((2,), (1, 3, 4)): 1}),
+                         "entry at ((1,), (1, 2)) escapes its support: discs (2,)"),
+    "entry-position": (lambda r: with_entry(r, 1, ((2,), (1, 2)), {Cell((2,), (1, 3)): 1}),
+                       "entry at ((2,), (1, 2)) has a cell outside position (3, 4)"),
+    "level-0-sum": (lambda r: with_cycle(r, {cell: 2 * c for cell, c in r.cycle.items()}),
+                    "level 0 does not sum to the cycle"),
+    "identity-0": (lambda r: with_levels(r, r.levels[0], negated(r.levels[1]), r.levels[2]),
+                   "boundary of level 0 differs from the signed deletion of level 1"),
+    "identity-1": (lambda r: with_levels(r, r.levels[0], r.levels[1], negated(r.levels[2])),
+                   "boundary of level 1 differs from the signed deletion of level 2"),
+    "top-boundary": (lambda r: with_levels(r, *r.levels[:2]),
+                     "top level still has a boundary"),
+}
+
+
+def test_square_ladder_is_valid():
+    K, res = square_ladder()
+    assert [len(level.entries) for level in res.levels] == [4, 8, 8]
+    assert validate_resolvent(K, res) == (True, "")
+
+
+@pytest.mark.parametrize("name", CORRUPTIONS)
+def test_validate_reports_each_failure(name):
+    corrupt, message = CORRUPTIONS[name]
+    K, res = square_ladder()
+    assert validate_resolvent(K, corrupt(res)) == (False, message)
 
 
 def test_resolvents_of_all_basis_cycles_validate():

@@ -1,4 +1,4 @@
-"""Each demo prints exactly its recorded output in demos/expected/."""
+"""Each demo prints exactly its recorded output in demos/expected/, warning-free."""
 
 import os
 import subprocess
@@ -20,8 +20,10 @@ def test_every_demo_has_expected_output():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_output_unchanged(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, str(demo)], capture_output=True,
+    # -W error: the subprocess is out of reach of pytest's warning filter
+    run = subprocess.run([sys.executable, "-W", "error", str(demo)], capture_output=True,
                          text=True, env=env, cwd=ROOT)
     assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
     want = (ROOT / "demos" / "expected" / f"{demo.stem}.txt").read_text()
     assert run.stdout == want

@@ -341,6 +341,17 @@ def test_complement_edge_cases():
     assert log_cohomology_dim(K, 1, 0) == 1  # dz_3/z_3
 
 
+def test_complements_bind_each_key_when_yielded():
+    # every key's admissible tuples, read only after all keys were collected,
+    # are still its own; they stay lazy, so the dimension path builds no list
+    K = square()
+    keys = list(logforms._complements(K, 2, 1))
+    assert len(keys) == 6
+    for [I], *_, admissible in keys:
+        assert iter(admissible) is admissible
+        assert list(admissible) == block_tuples(K, I, 1), I
+
+
 def test_log_cohomology_dim_ranks_the_complements(monkeypatch):
     # the prism's (p, q) = (0, 4): one solve per key, each on B, whose
     # middles are far shorter than the admissible ones

@@ -1,21 +1,26 @@
-"""Witnesses outside the shared linear algebra: Künneth joins, closed forms.
+"""Witnesses outside the shared linear algebra: Künneth joins, closed forms,
+universal coefficients.
 
 All engines end in the same `linalg` eliminations, so engine agreement
 cannot catch a defect there that misleads every engine alike.  These
 tests check whole tables against answers that need no elimination of the
 large matrices: the Künneth formula over the small tables of two join
 factors, and closed forms of Hochster's sum for families whose full
-subcomplexes are known.
+subcomplexes are known.  Universal coefficients check the integral
+tables in other arithmetic: a rank over F_l from an elimination written
+here, which shares no code with `linalg`.
 """
 
+import random
 from itertools import combinations
 from math import comb, gcd
 
 import pytest
 
-from momentangle.linalg import invariant_factor_chain
+from momentangle.koszul import differential_matrix, koszul_basis
+from momentangle.linalg import IntMatrix, invariant_factor_chain, smith_normal_form
 from momentangle.report import betti_table
-from momentangle.simplicial import SimplicialComplex
+from momentangle.simplicial import SimplicialComplex, enumerate_complexes
 from test_hochster import projective_plane_six
 
 ENGINES = ["koszul", "hochster"]
@@ -152,3 +157,90 @@ def test_simplex_boundaries(n, engine):
 def test_full_simplices(n, engine):
     # no coordinate subspace is removed
     assert betti_table(full_simplex(n), engine=engine).entries == {(0, 0): (1, ())}
+
+
+def rank_mod(M, ell):
+    """Rank of an integer matrix over F_ell (ell prime), row by row.
+
+    Each pivot row is kept scaled to 1 at its leading column; a new row
+    is cleared at its leading column until it leads at a new one or is 0.
+    """
+    pivots = {}
+    for row in M.rows:
+        v = {j: x % ell for j, x in row.items() if x % ell}
+        while v:
+            lead = min(v)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inverse = pow(v[lead], -1, ell)
+                pivots[lead] = {j: x * inverse % ell for j, x in v.items()}
+                break
+            c = v[lead]
+            for j, x in pivot.items():
+                y = (v.get(j, 0) - c * x) % ell
+                if y:
+                    v[j] = y
+                else:
+                    v.pop(j, None)
+    return len(pivots)
+
+
+def test_rank_mod_counts_the_invariant_factors_prime_to_ell():
+    # the matrices of the Smith pin test in linalg's tests
+    rng = random.Random(5)
+    for _ in range(4000):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        density = rng.random()
+        M = IntMatrix.from_rows([[rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < density else 0
+                                  for _ in range(n)] for _ in range(m)])
+        factors = smith_normal_form(M)
+        for ell in (2, 3, 5, 7):
+            assert rank_mod(M, ell) == sum(1 for d in factors if d % ell), (M.to_rows(), ell)
+
+
+def dims_mod(K, ell):
+    """{(p, q): dim over F_ell} of the Koszul complex's homology, nonzero only."""
+    dims = {}
+    for q in range(K.n + 1):
+        for p in range(q + 1):
+            dim = (len(koszul_basis(K, p, q)) - rank_mod(differential_matrix(K, p, q), ell)
+                   - rank_mod(differential_matrix(K, p + 1, q), ell))
+            if dim:
+                dims[(p, q)] = dim
+    return dims
+
+
+def universal_coefficients(table, ell):
+    """{(p, q): dim over F_ell} from the integral table: the rank, the
+    l-torsion at (p, q), and Tor of the l-torsion at (p - 1, q)."""
+    torsion = {pq: sum(1 for d in factors if d % ell == 0)
+               for pq, (_, factors) in table.items()}
+    dims = {}
+    for p, q in set(table) | {(p + 1, q) for p, q in table}:
+        dim = table.get((p, q), (0, ()))[0] + torsion.get((p, q), 0) + torsion.get((p - 1, q), 0)
+        if dim:
+            dims[(p, q)] = dim
+    return dims
+
+
+@pytest.mark.parametrize("ell", [2, 3])
+def test_universal_coefficients_on_every_small_complex(ell):
+    for n in range(1, 5):
+        for K in enumerate_complexes(n):
+            assert dims_mod(K, ell) == universal_coefficients(betti_table(K).entries, ell), K
+
+
+@pytest.mark.parametrize("name", [None, *FACTORS])
+def test_universal_coefficients_on_the_projective_plane(name):
+    K = projective_plane_six()
+    if name is not None:
+        K = join(K, FACTORS[name])
+    table = betti_table(K).entries
+    for ell in (2, 3):
+        dims = dims_mod(K, ell)
+        assert dims == universal_coefficients(table, ell), ell
+        if name is None:
+            # Z/2 at (3, 6) counts at (3, 6) and, through Tor, at (4, 6)
+            gains = {pq: dim - table.get(pq, (0, ()))[0] for pq, dim in dims.items()}
+            assert {pq: g for pq, g in gains.items() if g} == (
+                {(3, 6): 1, (4, 6): 1} if ell == 2 else {})
