@@ -2,15 +2,27 @@
 
 The group in bidegree (-p, 2q) decomposes as a direct sum, over all
 q-element vertex subsets J, of the reduced simplicial cohomology of the
-restriction of the complex to J in degree q - p - 1.  This route never
-touches the cochain algebra, so it cross-checks the algebra engine
+restriction K_J in degree d = q - p - 1 (Hochster's formula).  This route
+never touches the cochain algebra, so it cross-checks the algebra engine
 end to end.
 
-Each bidegree is assembled in one pass over the subsets J.  A bidegree
-in which the complex has no face of size q - p is zero outright, with no
-restriction built.  Otherwise restrictions with the same faces in the
-three sizes that the degree q - p - 1 reads share a single cohomology
-solve; the shared results live only as long as that one bidegree.
+Degree d reads only the faces of sizes d, d + 1 and d + 2.  Let V_d, the active vertices, be the vertices of the faces of
+sizes d + 1 and d + 2 (for d = -1, the vertices of K).  Then H^d(K_J)
+depends only on A = J meet V_d:
+
+- every face of size d + 1 or d + 2 inside J lies inside A, since the
+  vertices of a (d + 2)-face lie in its (d + 1)-subfaces, which are faces;
+- a d-face of K_J outside V_d lies in no (d + 1)-face, so it is a zero
+  column of the coboundary into degree d and changes nothing.
+
+So the sum over J is a sum over A inside V_d, and each A stands for the
+C(n - |V_d|, q - |A|) subsets J that add q - |A| of the other, inert
+vertices to it.  A window is the faces inside A of the three sizes,
+relabelled increasingly onto 0..|A| - 1.  Windows are read off K per
+subset; only the first A with a given window is restricted and solved,
+and windows that are equal share that solve for the length of one call.
+A window with no face of size d + 1 is zero and solves nothing, so a
+bidegree in which K has no such face restricts nothing at all.
 
 Reduced cohomology here is augmented: the empty face spans a copy of Z in
 degree -1, so the complex whose only face is the empty one has reduced
@@ -20,6 +32,8 @@ cohomology Z in degree -1 and nothing anywhere else.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
+from operator import itemgetter
 
 from .linalg import (
     HomologyResult,
@@ -59,48 +73,86 @@ def reduced_cohomology(K: SimplicialComplex, d: int, ring: str = "Z") -> Homolog
     return homology_of_pair(d_in, d_out, ring=ring, want_representatives=False)
 
 
+def _windows(K: SimplicialComplex, p: int, q: int, ring: str):
+    """Yield (A, inert, count, H) for each A inside V_d with H = H^d(K_A) nonzero.
+
+    `inert` is the tuple of vertices outside V_d, and `count` the number of
+    q-subsets J with J meet V_d = A.  Equal windows share one restriction
+    and one solve.
+    """
+    d = q - p - 1
+    middle = K.faces_of_size(d + 1)
+    if not middle:
+        return
+    upper = K.faces_of_size(d + 2)
+    active = sorted({v for f in middle + upper for v in f})
+    seen = set(active)
+    inert = tuple([v for v in range(1, K.n + 1) if v not in seen])
+    bit = {v: 1 << i for i, v in enumerate(active)}
+    levels = []
+    for faces in (K.faces_of_size(d), middle, upper):
+        level = []
+        for f in faces:
+            if seen.issuperset(f):  # a d-face outside V_d is a zero column
+                mask = 0
+                for v in f:
+                    mask |= bit[v]
+                level.append((mask, f))
+        levels.append(level)
+    lows, mids, ups = levels
+    solved: dict = {}
+    for k in range(max(0, q - len(inert)), min(q, len(active)) + 1):
+        count = comb(len(inert), q - k)
+        for A in combinations(active, k):
+            a = 0
+            for v in A:
+                a |= bit[v]
+            label = {v: i for i, v in enumerate(A)}
+            mid = [tuple([label[v] for v in f]) for mask, f in mids if mask & a == mask]
+            if not mid:
+                continue
+            low = [tuple([label[v] for v in f]) for mask, f in lows if mask & a == mask]
+            up = [tuple([label[v] for v in f]) for mask, f in ups if mask & a == mask]
+            key = (tuple(low), tuple(mid), tuple(up))
+            H = solved.get(key)
+            if H is None:
+                H = solved[key] = reduced_cohomology(full_subcomplex(K, A), d, ring=ring)
+            if H.rank or H.torsion:
+                yield A, inert, count, H
+
+
 def hochster_summands(K: SimplicialComplex, p: int, q: int, ring: str = "Z") -> list:
     """Per-subset contributions to bidegree (-p, 2q): pairs (J, group).
 
-    With d = q - p - 1, a restriction K_J has cohomology in degree d only
-    if it has a face of size d + 1, so when K has none every summand is
-    zero and nothing is restricted (this covers p > q too).  Otherwise
-    reduced_cohomology(K_J, d) reads only the faces of K_J of sizes d,
-    d + 1 and d + 2; restrictions that agree on those relabelled faces
-    share one solve, held for the length of this call only.
+    Lists every q-subset J with H^{q-p-1}(K_J) nonzero, in increasing
+    order of J.  Each J is a window A of active vertices together with
+    q - |A| inert ones, and carries the window's group.
     """
     check_ring(ring)
-    d = q - p - 1
-    if not K.faces_of_size(d + 1):
-        return []
     out = []
-    solved: dict = {}
-    for J in combinations(range(1, K.n + 1), q):
-        L = full_subcomplex(K, J)
-        key = (L.faces_of_size(d), L.faces_of_size(d + 1), L.faces_of_size(d + 2))
-        H = solved.get(key)
-        if H is None:
-            H = solved[key] = reduced_cohomology(L, d, ring=ring)
-        if H.rank or H.torsion:
-            out.append((J, H))
+    for A, inert, _, H in _windows(K, p, q, ring):
+        for B in combinations(inert, q - len(A)):
+            out.append((tuple(sorted(A + B)), H))
+    out.sort(key=itemgetter(0))
     return out
 
 
 def hochster_cohomology(K: SimplicialComplex, p: int, q: int, ring: str = "Z") -> HomologyResult:
     """Cohomology in bidegree (-p, 2q) assembled from vertex restrictions.
 
-    The rank is the sum over summands and the torsion coefficients are
-    regrouped into a single canonical divisibility chain.  No cochain
-    representatives exist on this route, so none are returned.
+    Each window adds its rank once per subset it stands for, and its
+    torsion as often; the torsion coefficients are regrouped into a single
+    canonical divisibility chain.  No cochain representatives exist on
+    this route, so none are returned.
     """
     check_ring(ring)
     if p < 0 or q < 0 or q > K.n:
         return HomologyResult(0, (), ())
     rank = 0
     torsion_parts = []
-    for _, H in hochster_summands(K, p, q, ring=ring):
-        rank += H.rank
-        torsion_parts.extend(H.torsion)
+    for _, _, count, H in _windows(K, p, q, ring):
+        rank += count * H.rank
+        torsion_parts.extend(H.torsion * count)
     return HomologyResult(rank, invariant_factor_chain(torsion_parts), ())
 
 

@@ -1,6 +1,8 @@
 """Tests for the vertex-restriction oracle engine."""
 
 from itertools import combinations
+from math import comb
+from time import perf_counter
 
 import pytest
 
@@ -14,7 +16,12 @@ from momentangle.hochster import (
 )
 from momentangle.koszul import koszul_bigraded
 from momentangle.linalg import invariant_factor_chain
-from momentangle.simplicial import SimplicialComplex, enumerate_complexes, full_subcomplex
+from momentangle.simplicial import (
+    SimplicialComplex,
+    enumerate_complexes,
+    full_subcomplex,
+    parse_complex,
+)
 
 
 def projective_plane_six():
@@ -114,20 +121,50 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def with_ghosts(K, extra):
+    """K on n + extra vertices, the new ones in no face."""
+    return SimplicialComplex(K.n + extra, K.faces)
+
+
+def restriction_reference(K, p, q, ring):
+    """The nonzero pairs (J, H) of Hochster's sum, each J restricted and solved."""
+    out = []
+    for J in combinations(range(1, K.n + 1), q):
+        H = reduced_cohomology(full_subcomplex(K, J), q - p - 1, ring=ring)
+        if H.rank or H.torsion:
+            out.append((J, H))
+    return out
+
+
+def assert_equals_restriction_reference(K):
+    for ring in ("Z", "Q"):
+        for q in range(K.n + 1):
+            for p in range(q + 1):
+                want = restriction_reference(K, p, q, ring)
+                assert hochster_summands(K, p, q, ring=ring) == want, (K, p, q, ring)
+                H = hochster_cohomology(K, p, q, ring=ring)
+                assert (H.rank, H.torsion) == (
+                    sum(h.rank for _, h in want),
+                    invariant_factor_chain(t for _, h in want for t in h.torsion),
+                ), (K, p, q, ring)
+
+
 def test_hochster_equals_the_plain_sum_over_subsets():
-    # one solve per subset, no sharing and no early exit
+    # one restriction and one solve per subset, no sharing and no early exit;
+    # the ghost vertices are inert in every degree
     for n in range(1, 5):
         for K in enumerate_complexes(n):
-            for q in range(n + 1):
-                for p in range(q + 1):
-                    for ring in ("Z", "Q"):
-                        parts = [reduced_cohomology(full_subcomplex(K, J), q - p - 1, ring=ring)
-                                 for J in combinations(range(1, n + 1), q)]
-                        H = hochster_cohomology(K, p, q, ring=ring)
-                        assert (H.rank, H.torsion) == (
-                            sum(h.rank for h in parts),
-                            invariant_factor_chain(t for h in parts for t in h.torsion),
-                        ), (K, p, q, ring)
+            assert_equals_restriction_reference(K)
+            assert_equals_restriction_reference(with_ghosts(K, 2))
+
+
+@pytest.mark.slow
+def test_hochster_equals_the_restriction_reference_on_five_vertices():
+    count = 0
+    for K in enumerate_complexes(5):
+        count += 1
+        assert_equals_restriction_reference(K)
+    assert count == 7580
 
 
 def test_shared_solves_key_on_the_faces_one_size_up():
@@ -139,24 +176,34 @@ def test_shared_solves_key_on_the_faces_one_size_up():
     assert all((H.rank, H.torsion) == (1, ()) for _, H in summands)
 
 
-def test_one_solve_per_distinct_restriction(monkeypatch):
+def windows(K, p, q):
+    """The distinct windows of (p, q) with a nonempty middle: for each q-subset
+    J, the faces of sizes d, d + 1 and d + 2 of K restricted to the vertices of
+    J that lie in a face of size d + 1 or d + 2."""
+    d = q - p - 1
+    active = {v for f in K.faces_of_size(d + 1) + K.faces_of_size(d + 2) for v in f}
+    keys = set()
+    for J in combinations(range(1, K.n + 1), q):
+        L = full_subcomplex(K, [v for v in J if v in active])
+        if L.faces_of_size(d + 1):
+            keys.add((L.faces_of_size(d), L.faces_of_size(d + 1), L.faces_of_size(d + 2)))
+    return keys
+
+
+def test_one_solve_per_distinct_window(monkeypatch):
     K = projective_plane_six()
+    expected = {(p, q): len(windows(K, p, q))
+                for p, q in ((0, 2), (1, 3), (1, 4), (2, 5), (3, 6))}
     restricts = count_calls(monkeypatch, "full_subcomplex")
     solves = count_calls(monkeypatch, "reduced_cohomology")
     shared = 0
-    for p, q in ((0, 2), (1, 3), (1, 4), (2, 5), (3, 6)):
-        d = q - p - 1
-        keys = set()
-        for J in combinations(range(1, 7), q):
-            L = full_subcomplex(K, J)
-            keys.add((L.faces_of_size(d), L.faces_of_size(d + 1), L.faces_of_size(d + 2)))
+    for (p, q), want in expected.items():
         restricts.clear()
         solves.clear()
         hochster_cohomology(K, p, q)
-        # both bindings are still on the engine's path
-        assert len(restricts) == len(list(combinations(range(1, 7), q)))
-        assert len(solves) == len(keys), (p, q)
-        shared += len(restricts) - len(solves)
+        # one restriction per distinct window, not one per q-subset
+        assert len(restricts) == len(solves) == want, (p, q)
+        shared += comb(6, q) - want
     assert shared > 0
 
 
@@ -169,6 +216,23 @@ def test_bidegree_without_faces_restricts_nothing(monkeypatch):
     assert restricts == [] and solves == []
     assert hochster_summands(square(), 3, 2) == []
     assert restricts == [] and solves == []
+
+
+@pytest.mark.parametrize("text, ghosts", [
+    ('{"n": 30, "facets": []}', 30),
+    ('{"n": 22, "facets": [[1]]}', 21),
+])
+def test_ghost_heavy_closed_forms(text, ghosts):
+    # H^{-1}(K_J) is Z exactly when J holds no vertex of a face, so the table
+    # is C(#ghosts, q) at (q, q); restricting every J would take C(30, 15)
+    # restrictions at (15, 15) alone
+    K = parse_complex(text)
+    start = perf_counter()
+    table = hochster_bigraded(K)
+    elapsed = perf_counter() - start
+    assert {pq: (H.rank, H.torsion) for pq, H in table.items()} == {
+        (q, q): (comb(ghosts, q), ()) for q in range(ghosts + 1)}
+    assert elapsed < 1.0
 
 
 def test_engines_agree_on_all_three_vertex_complexes():

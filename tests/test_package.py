@@ -52,7 +52,7 @@ def package_imports(module: str) -> set:
 # construction
 @pytest.mark.parametrize("module, others", [
     ("koszul", {"hochster", "logforms", "cells"}),
-    ("hochster", {"koszul", "logforms"}),
+    ("hochster", {"koszul", "cech", "logforms"}),
     ("logforms", {"koszul", "hochster"}),
     ("cells", {"koszul", "hochster", "logforms"}),
     ("cech", {"koszul", "hochster", "logforms"}),

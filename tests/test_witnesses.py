@@ -21,7 +21,11 @@ from momentangle.koszul import differential_matrix, koszul_basis
 from momentangle.linalg import IntMatrix, invariant_factor_chain, smith_normal_form
 from momentangle.report import betti_table
 from momentangle.simplicial import SimplicialComplex, enumerate_complexes
-from test_hochster import projective_plane_six
+from test_hochster import (
+    assert_equals_restriction_reference,
+    projective_plane_six,
+    with_ghosts,
+)
 
 ENGINES = ["koszul", "hochster"]
 
@@ -96,6 +100,15 @@ def test_projective_plane_joins_obey_kunneth(name, engine):
         # Z/2 of the projective plane at (3, 6) times the square's free groups
         assert (got[(3, 6)][1], got[(4, 8)][1], got[(5, 10)][1]) == (
             (2,), (2, 2), (2,))
+
+
+def test_hochster_equals_the_restriction_reference_on_projective_plane_joins():
+    K = projective_plane_six()
+    assert_equals_restriction_reference(K)
+    # two inert vertices: the Z/2 at (3, 6) comes once per superset of the six
+    assert_equals_restriction_reference(with_ghosts(K, 2))
+    for factor in FACTORS.values():
+        assert_equals_restriction_reference(join(K, factor))
 
 
 def test_join_has_the_product_face_count():
