@@ -24,6 +24,12 @@ and windows that are equal share that solve for the length of one call.
 A window with no face of size d + 1 is zero and solves nothing, so a
 bidegree in which K has no such face restricts nothing at all.
 
+A window is a cone in degree d, and is skipped before it is keyed, when
+some v in A adds to every (d + 1)-face inside A that misses it: then
+phi -> phi(v . -) is a contracting homotopy of the cochains in degree d,
+so H^d(K_A) = 0 over Z, torsion included.  For d = -1 the only such face
+is the empty one, so every nonempty A is skipped.
+
 Reduced cohomology here is augmented: the empty face spans a copy of Z in
 degree -1, so the complex whose only face is the empty one has reduced
 cohomology Z in degree -1 and nothing anywhere else.
@@ -78,7 +84,9 @@ def _windows(K: SimplicialComplex, p: int, q: int, ring: str):
 
     `inert` is the tuple of vertices outside V_d, and `count` the number of
     q-subsets J with J meet V_d = A.  Equal windows share one restriction
-    and one solve.
+    and one solve; a window that is a cone in degree d has none.  The cone
+    mask of a (d + 1)-face is its vertices and each vertex that adds to it,
+    so A's apexes are A cut by the cone masks of its (d + 1)-faces.
     """
     d = q - p - 1
     middle = K.faces_of_size(d + 1)
@@ -100,6 +108,10 @@ def _windows(K: SimplicialComplex, p: int, q: int, ring: str):
                 level.append((mask, f))
         levels.append(level)
     lows, mids, ups = levels
+    cone = {mask: mask for mask, _ in mids}
+    for mask, f in ups:
+        for j in range(len(f)):
+            cone[mask & ~bit[f[j]]] |= mask
     solved: dict = {}
     for k in range(max(0, q - len(inert)), min(q, len(active)) + 1):
         count = comb(len(inert), q - k)
@@ -107,10 +119,16 @@ def _windows(K: SimplicialComplex, p: int, q: int, ring: str):
             a = 0
             for v in A:
                 a |= bit[v]
-            label = {v: i for i, v in enumerate(A)}
-            mid = [tuple([label[v] for v in f]) for mask, f in mids if mask & a == mask]
-            if not mid:
+            apexes = a
+            inside = []
+            for mask, f in mids:
+                if mask & a == mask:
+                    apexes &= cone[mask]
+                    inside.append(f)
+            if not inside or apexes:
                 continue
+            label = {v: i for i, v in enumerate(A)}
+            mid = [tuple([label[v] for v in f]) for f in inside]
             low = [tuple([label[v] for v in f]) for mask, f in lows if mask & a == mask]
             up = [tuple([label[v] for v in f]) for mask, f in ups if mask & a == mask]
             key = (tuple(low), tuple(mid), tuple(up))

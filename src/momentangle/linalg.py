@@ -21,8 +21,8 @@ residue they leave goes on to the echelon or the dense Smith form.
 add_into is the one in-place sparse combination: the echelon step, the
 unit-pivot pass and the cell and face-tuple chains of the other modules
 all add through it.  invariant_factor_chain merges torsion orders into
-their divisibility chain by pairwise gcd and lcm, so no integer is ever
-factored.
+their divisibility chain over a coprime base built by gcds alone, so no
+integer is ever factored into primes.
 """
 
 from __future__ import annotations
@@ -516,20 +516,52 @@ def invariant_factor_chain(factors) -> tuple:
 
     Input: any iterable of integers > 1 (orders of cyclic summands, in any
     order and not necessarily prime powers).  Output: the divisibility
-    chain d_1 | d_2 | ... | d_k describing the same group.  Each factor
-    enters the chain from the top by Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b);
-    the gcd carried down past the bottom is a new d_1 unless it is 1.
+    chain d_1 | d_2 | ... | d_k describing the same group.  Equal orders
+    are counted once.  The distinct ones are refined into a coprime base,
+    pairwise coprime b > 1 of which each order is a product, by splitting
+    a pair b, x that share g = gcd(b, x) > 1 into g, b / g and x / g.  The
+    bases share no prime, so the summand of each base b is the sum of
+    Z/b^e over the exponents e of b in the orders, and the k-th largest
+    such exponent of every b goes into the k-th largest d.  The time is
+    linear in the number of orders for a fixed set of distinct ones.
     """
-    chain = []
+    counts = {}
     for f in factors:
         if f <= 1:
             raise ValueError(f"cyclic group order must exceed 1, got {f}")
-        for i in range(len(chain) - 1, -1, -1):
-            if f == 1:
+        counts[f] = counts.get(f, 0) + 1
+    if not counts:
+        return ()
+    base = []
+    todo = list(counts)
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = gcd(b, x)
+            if g > 1:
+                del base[i]
+                todo += [y for y in (g, b // g, x // g) if y > 1]
                 break
-            g = gcd(chain[i], f)
-            chain[i] = chain[i] // g * f
-            f = g
-        if f > 1:
-            chain.insert(0, f)
+        else:
+            base.append(x)
+    chain = [1] * sum(counts.values())  # largest first
+    for b in base:
+        exponents = []
+        for f, m in counts.items():
+            e = 0
+            while f % b == 0:
+                f //= b
+                e += 1
+            if e:
+                exponents.append((e, m))
+        exponents.sort(reverse=True)
+        k = 0
+        for e, m in exponents:
+            power = b ** e
+            for j in range(k, k + m):
+                chain[j] *= power
+            k += m
+    while chain and chain[-1] == 1:
+        chain.pop()
+    chain.reverse()
     return tuple(chain)

@@ -160,15 +160,19 @@ def _cover_levels(K: SimplicialComplex, r: int, t: int):
     its meet).  The key of an r-set is the set of vertices in which it cuts
     the union of the meets on levels t - 1 and t, so r-sets with one key
     admit the same tuples on those levels.  The groups map each key to its
-    r-sets in ascending order, keys in the order of their first r-set.
+    r-sets in ascending order, keys in the order of their first r-set; a
+    key that is the mask of a nonempty face is left out (see _complements).
     """
     mask = {f: sum(1 << v for v in f) for f in K.faces_sorted()}
     levels = [[(T, reduce(and_, map(mask.get, T))) for T in block_tuples(K, (), s)]
               for s in range(t - 2, t + 1)]
     meet_vertices = reduce(or_, (m for level in levels[1:] for _, m in level), 0)
+    cones = {m for m in mask.values() if m}
     groups = {}
     for I in combinations(range(1, K.n + 1), r):
-        groups.setdefault(sum(1 << v for v in I) & meet_vertices, []).append(I)
+        key = sum(1 << v for v in I) & meet_vertices
+        if key not in cones:
+            groups.setdefault(key, []).append(I)
     return levels, groups
 
 
@@ -194,6 +198,10 @@ def _complements(K: SimplicialComplex, r: int, t: int):
     tuple, so it would only add a zero column to the incoming differential.
     A degree past the face count has no tuples, hence no cohomology, and
     yields nothing.
+    No key is yielded that is the vertex set of a nonempty face sigma of K,
+    as its B has no cohomology: adding sigma to a tuple T of B cuts T's
+    meet by sigma, which it already meets, so B is a cone on sigma, and a
+    cone has no reduced cohomology in any degree.
     """
     levels, groups = _cover_levels(K, r, t)
     if levels[2]:

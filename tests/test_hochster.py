@@ -176,16 +176,26 @@ def test_shared_solves_key_on_the_faces_one_size_up():
     assert all((H.rank, H.torsion) == (1, ()) for _, H in summands)
 
 
+def apex(K, A, d):
+    """A vertex v of A such that every (d + 1)-face of K inside A that misses v
+    is a face with v added, or None."""
+    inside = [f for f in K.faces_of_size(d + 1) if set(f) <= set(A)]
+    for v in A:
+        if all(v in f or K.has_face(tuple(sorted(f + (v,)))) for f in inside):
+            return v
+    return None
+
+
 def windows(K, p, q):
-    """The distinct windows of (p, q) with a nonempty middle: for each q-subset
-    J, the faces of sizes d, d + 1 and d + 2 of K restricted to the vertices of
-    J that lie in a face of size d + 1 or d + 2."""
+    """The distinct windows of (p, q) with a nonempty middle and no apex: for
+    each q-subset J, the faces of sizes d, d + 1 and d + 2 of K restricted to
+    the vertices of J that lie in a face of size d + 1 or d + 2."""
     d = q - p - 1
     active = {v for f in K.faces_of_size(d + 1) + K.faces_of_size(d + 2) for v in f}
     keys = set()
     for J in combinations(range(1, K.n + 1), q):
         L = full_subcomplex(K, [v for v in J if v in active])
-        if L.faces_of_size(d + 1):
+        if L.faces_of_size(d + 1) and apex(L, range(1, L.n + 1), d) is None:
             keys.add((L.faces_of_size(d), L.faces_of_size(d + 1), L.faces_of_size(d + 2)))
     return keys
 
@@ -201,10 +211,44 @@ def test_one_solve_per_distinct_window(monkeypatch):
         restricts.clear()
         solves.clear()
         hochster_cohomology(K, p, q)
-        # one restriction per distinct window, not one per q-subset
+        # one restriction per distinct window that is not a cone, not one
+        # per q-subset
         assert len(restricts) == len(solves) == want, (p, q)
         shared += comb(6, q) - want
     assert shared > 0
+
+
+def assert_cones_are_acyclic(K):
+    """Over Z, H^d(K_A) = 0 for every A with an apex in degree d, and the
+    engine solves no window with one; returns the number of such A."""
+    with pytest.MonkeyPatch.context() as mp:
+        solves = count_calls(mp, "reduced_cohomology")
+        hochster_bigraded(K)
+    assert solves and all(apex(L, range(1, L.n + 1), d) is None for L, d, *_ in solves), K
+    cones = 0
+    for d in range(-1, K.dim() + 1):
+        active = sorted({v for f in K.faces_of_size(d + 1) + K.faces_of_size(d + 2) for v in f})
+        for k in range(len(active) + 1):
+            for A in combinations(active, k):
+                if apex(K, A, d) is not None:
+                    H = reduced_cohomology(full_subcomplex(K, A), d)
+                    assert (H.rank, H.torsion) == (0, ()), (K, A, d)
+                    cones += 1
+    return cones
+
+
+def test_skipped_windows_are_acyclic():
+    cones = 0
+    for n in range(1, 5):
+        for K in enumerate_complexes(n):
+            cones += assert_cones_are_acyclic(K)
+            cones += assert_cones_are_acyclic(with_ghosts(K, 2))
+    assert cones > 0
+
+
+@pytest.mark.slow
+def test_skipped_windows_are_acyclic_on_five_vertices():
+    assert sum(assert_cones_are_acyclic(K) for K in enumerate_complexes(5)) > 0
 
 
 def test_bidegree_without_faces_restricts_nothing(monkeypatch):
@@ -232,6 +276,17 @@ def test_ghost_heavy_closed_forms(text, ghosts):
     elapsed = perf_counter() - start
     assert {pq: (H.rank, H.torsion) for pq, H in table.items()} == {
         (q, q): (comb(ghosts, q), ()) for q in range(ghosts + 1)}
+    assert elapsed < 1.0
+
+
+def test_ghost_padded_torsion_is_fast():
+    # the Z/2 at (3, 6) comes once per superset of the six vertices: C(20, 10)
+    # copies at (13, 16) with 20 ghosts, all merged into one chain
+    K = with_ghosts(projective_plane_six(), 20)
+    start = perf_counter()
+    H = hochster_cohomology(K, 13, 16)
+    elapsed = perf_counter() - start
+    assert (H.rank, H.torsion) == (0, (2,) * comb(20, 10))
     assert elapsed < 1.0
 
 

@@ -250,27 +250,30 @@ def count_calls(monkeypatch, name):
 def test_log_cohomology_basis_skips_kernels_of_acyclic_blocks(monkeypatch):
     K = square()
     calls = count_calls(monkeypatch, "nullspace_rational")
-    # four keys at (r, t) = (1, 1), none of whose B carries a class
-    assert len(list(logforms._complements(K, 1, 1))) == 4
+    # every key at (r, t) = (1, 1) is a vertex, so a face, and none is yielded
+    assert list(logforms._complements(K, 1, 1)) == []
     assert log_cohomology_basis(K, 1, 1) == []
     assert calls == []
-    # at (2, 1) only the keys whose B carries a class need a kernel
-    keys = list(logforms._complements(K, 2, 1))
+    # the two diagonal keys at (2, 1) carry a class each, the four at (3, 1)
+    # none; only the keys whose B carries a class need a kernel
+    keys = list(logforms._complements(K, 2, 1)) + list(logforms._complements(K, 3, 1))
     carrying = sum(1 for _, low, mid, high, _ in keys if _solve(low, mid, high))
     assert len(log_cohomology_basis(K, 2, 1)) == log_cohomology_dim(K, 2, 1) == 2
-    assert len(calls) == carrying < len(keys) == 6
+    assert log_cohomology_basis(K, 3, 1) == []
+    assert len(calls) == carrying == 2 < len(keys) == 6
 
 
 def test_equal_blocks_share_one_solve(monkeypatch):
-    # vertices 3 and 4 lie in no face, so index sets differing only there
-    # admit the same tuples on every level and are solved once
+    # vertices 3 and 4 lie in no face, so (1, 2, 3) and (1, 2, 4) cut the
+    # meets in the same non-face (1, 2), admit the same tuples on every
+    # level and are solved once
     K = SimplicialComplex.from_facets(4, [[1], [2]])
-    r, t = 2, 1
+    r, t = 3, 1
     keys = list(logforms._complements(K, r, t))
     index_sets = sum(len(key[0]) for key in keys)
     calls = count_calls(monkeypatch, "homology_of_pair")
-    assert log_cohomology_dim(K, r, t) == _reference_dim(K, r, t)
-    assert len(calls) == len(keys) < index_sets
+    assert log_cohomology_dim(K, r, t) == _reference_dim(K, r, t) == 2
+    assert len(calls) == len(keys) == 1 < index_sets == 2
     calls.clear()
     assert len(log_cohomology_basis(K, r, t)) == _reference_dim(K, r, t)
     assert len(calls) == len(keys)
@@ -279,6 +282,31 @@ def test_equal_blocks_share_one_solve(monkeypatch):
 def _solve(low, mid, high):
     return homology_of_pair(logforms._coboundary(low, mid), logforms._coboundary(mid, high),
                             ring="Q", want_representatives=False).rank
+
+
+def _meet(T):
+    meet = set(T[0])
+    for f in T[1:]:
+        meet &= set(f)
+    return meet
+
+
+def _meets(K, t):
+    """The union of the meets of the cover tuples on levels t - 1 and t; an
+    r-set's key is the vertices in which it cuts this union."""
+    meets = set()
+    for s in (t - 1, t):
+        for T in block_tuples(K, (), s):
+            meets |= _meet(T)
+    return meets
+
+
+def _key(meets, I):
+    return tuple(sorted(meets.intersection(I)))
+
+
+def _is_cone(K, key):
+    return bool(key) and K.has_face(key)
 
 
 def _check_complements(targets):
@@ -302,8 +330,13 @@ def _check_complements(targets):
                     seen["B = {()}"] += low + mid + high == [()]
                     seen["tie"] += len(mid) == len(admissible)
                     seen["shorter"] += len(mid) < len(admissible)
-                # each nonempty block comes from exactly one key
-                assert sorted(keyed) == sorted(blocks), (K, r, t)
+                # each nonempty block comes from exactly one key, or its key
+                # is a face and the block has no class
+                meets = _meets(K, t)
+                cones = [I for I in blocks if _is_cone(K, _key(meets, I))]
+                assert all(blocks[I][1] == 0 for I in cones), (K, r, t)
+                seen["cone"] += len(cones)
+                assert sorted(keyed) == sorted(set(blocks) - set(cones)), (K, r, t)
     return seen
 
 
@@ -311,13 +344,50 @@ def test_complements_agree_with_every_block():
     # every t up to the face count; n = 4 stops at 9 faces, the empty face included
     targets = [K for n in (1, 2, 3, 4) for K in enumerate_complexes(n) if len(K.faces) <= 9]
     seen = _check_complements(targets)
-    assert min(seen.values()) > 0 and len(seen) == 4, seen
+    assert min(seen.values()) > 0 and len(seen) == 5, seen
 
 
 @pytest.mark.slow
 def test_complements_agree_with_every_block_n5():
     seen = _check_complements(K for K in enumerate_complexes(5) if len(K.faces) <= 10)
-    assert min(seen.values()) > 0 and len(seen) == 4, seen
+    assert min(seen.values()) > 0 and len(seen) == 5, seen
+
+
+def _check_dropped_keys(targets):
+    """Every r-set is yielded exactly when its key is not a nonempty face; each
+    face key's B, filtered from the cover levels here, solves to rank 0."""
+    dropped = 0
+    for K in targets:
+        for r in range(K.n + 1):
+            for t in range(len(K.faces)):
+                keyed = [I for index_sets, *_ in logforms._complements(K, r, t)
+                         for I in index_sets]
+                meets = _meets(K, t)
+                keys = {}
+                for I in combinations(range(1, K.n + 1), r):
+                    keys.setdefault(_key(meets, I), []).append(I)
+                for key, index_sets in keys.items():
+                    if not _is_cone(K, key):
+                        assert all(I in keyed for I in index_sets), (K, r, t, key)
+                        continue
+                    assert not any(I in keyed for I in index_sets), (K, r, t, key)
+                    B = [[()] if s == -1 else
+                         [T for T in block_tuples(K, (), s) if _meet(T).intersection(key)]
+                         for s in range(t - 2, t + 1)]
+                    assert _solve(*B) == 0, (K, r, t, key)
+                    dropped += 1
+    return dropped
+
+
+def test_dropped_keys_are_faces_with_acyclic_complements():
+    # every t with a nonempty level t; the same complexes as the complements check
+    targets = [K for n in (1, 2, 3, 4) for K in enumerate_complexes(n) if len(K.faces) <= 9]
+    assert _check_dropped_keys(targets) > 0
+
+
+@pytest.mark.slow
+def test_dropped_keys_are_faces_with_acyclic_complements_n5():
+    assert _check_dropped_keys(K for K in enumerate_complexes(5) if len(K.faces) <= 10) > 0
 
 
 def test_complement_edge_cases():
@@ -343,10 +413,11 @@ def test_complement_edge_cases():
 
 def test_complements_bind_each_key_when_yielded():
     # every key's admissible tuples, read only after all keys were collected,
-    # are still its own; they stay lazy, so the dimension path builds no list
+    # are still its own; they stay lazy, so the dimension path builds no list;
+    # the square's keys at (2, 1) are its two diagonals, the edges being faces
     K = square()
     keys = list(logforms._complements(K, 2, 1))
-    assert len(keys) == 6
+    assert len(keys) == 2
     for [I], *_, admissible in keys:
         assert iter(admissible) is admissible
         assert list(admissible) == block_tuples(K, I, 1), I

@@ -22,6 +22,7 @@ from momentangle.linalg import IntMatrix, invariant_factor_chain, smith_normal_f
 from momentangle.report import betti_table
 from momentangle.simplicial import SimplicialComplex, enumerate_complexes
 from test_hochster import (
+    assert_cones_are_acyclic,
     assert_equals_restriction_reference,
     projective_plane_six,
     with_ghosts,
@@ -109,6 +110,13 @@ def test_hochster_equals_the_restriction_reference_on_projective_plane_joins():
     assert_equals_restriction_reference(with_ghosts(K, 2))
     for factor in FACTORS.values():
         assert_equals_restriction_reference(join(K, factor))
+
+
+def test_skipped_windows_of_projective_plane_joins_are_acyclic():
+    K = projective_plane_six()
+    assert assert_cones_are_acyclic(K) > 0
+    for factor in FACTORS.values():
+        assert assert_cones_are_acyclic(join(K, factor)) > 0
 
 
 def test_join_has_the_product_face_count():
