@@ -27,7 +27,8 @@ import json
 import os
 import random
 import sys
-from itertools import combinations
+from contextlib import closing
+from itertools import chain, combinations, islice
 
 from .cech import build_resolvent
 from .cells import homology_cycle_basis
@@ -109,20 +110,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _run_parallel(worker, payloads: list, jobs: int) -> list:
-    """Map a worker over payloads, in order, optionally with a pool.
+def _run_parallel(worker, payloads, jobs: int):
+    """Map a worker over payloads lazily and in order, optionally with a pool.
 
-    The pool never has more processes than payloads or than CPUs.
+    The pool never has more processes than payloads or than CPUs: it is
+    sized by reading at most that many payloads ahead, and it is shut down
+    when the returned generator finishes or is closed.
     """
-    processes = min(jobs, len(payloads), os.cpu_count() or 1)
-    if processes > 1:
+    payloads = iter(payloads)
+    head = list(islice(payloads, min(jobs, os.cpu_count() or 1)))
+    if len(head) > 1:
         # imported only here: a serial run, the default, would otherwise pay
         # for loading pickle, socket and signal at start-up
         from multiprocessing import Pool
 
-        with Pool(processes=processes) as pool:
-            return pool.map(worker, payloads)
-    return [worker(payload) for payload in payloads]
+        with Pool(processes=len(head)) as pool:
+            # a few payloads per task amortise the pipe, and results still
+            # come back as they are computed
+            yield from pool.imap(worker, chain(head, payloads), chunksize=8)
+    else:
+        yield from map(worker, chain(head, payloads))
 
 
 def format_cell(cell) -> str:
@@ -279,7 +286,7 @@ def cmd_verify(args) -> int:
     where = describe_complex(K)
     bidegrees = [(p, q) for q in range(K.n + 1) for p in range(q + 1)]
     payloads = [(K, p, q, engines, args.ring, t_max) for (p, q) in bidegrees]
-    outcomes = _run_parallel(_verify_worker, payloads, args.jobs)
+    outcomes = list(_run_parallel(_verify_worker, payloads, args.jobs))
     mismatches = _compare_engines(bidegrees, outcomes, where)
     coverage = ""
     if "cech" in engines:
@@ -377,18 +384,16 @@ def cmd_periods(args) -> int:
 # scan
 
 
-def sample_complexes(n: int, count: int, seed: int) -> list:
-    """Reproducible random complexes: seeded draws of facet families."""
+def sample_complexes(n: int, count: int, seed: int):
+    """Reproducible random complexes: seeded draws of facet families, lazily."""
     rng = random.Random(seed)
-    out = []
     for _ in range(count):
         facets = []
         for _ in range(rng.randint(0, n + 2)):
             f = tuple(v for v in range(1, n + 1) if rng.random() < 0.55)
             if f:
                 facets.append(f)
-        out.append(SimplicialComplex.from_facets(n, facets))
-    return out
+        yield SimplicialComplex.from_facets(n, facets)
 
 
 def _scan_worker(payload) -> str:
@@ -433,10 +438,11 @@ def cmd_scan(args) -> int:
             raise ParseError(
                 f"exhaustive scan supports n <= {MAX_ENUMERATION_VERTICES}; "
                 f"use --samples for larger n")
-        complexes = list(enumerate_complexes(n))
-    payloads = [(K, args.ring, args.format) for K in complexes]
-    for line in _run_parallel(_scan_worker, payloads, args.jobs):
-        print(line)
+        complexes = enumerate_complexes(n)
+    payloads = ((K, args.ring, args.format) for K in complexes)
+    with closing(_run_parallel(_scan_worker, payloads, args.jobs)) as lines:
+        for line in lines:
+            print(line)
     return EXIT_OK
 
 

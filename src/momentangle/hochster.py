@@ -6,18 +6,17 @@ restriction K_J in degree d = q - p - 1 (Hochster's formula).  This route
 never touches the cochain algebra, so it cross-checks the algebra engine
 end to end.
 
-Degree d reads only the faces of sizes d, d + 1 and d + 2.  Let V_d, the active vertices, be the vertices of the faces of
-sizes d + 1 and d + 2 (for d = -1, the vertices of K).  Then H^d(K_J)
-depends only on A = J meet V_d:
-
-- every face of size d + 1 or d + 2 inside J lies inside A, since the
-  vertices of a (d + 2)-face lie in its (d + 1)-subfaces, which are faces;
-- a d-face of K_J outside V_d lies in no (d + 1)-face, so it is a zero
-  column of the coboundary into degree d and changes nothing.
+Degree d reads only the faces of two sizes, d + 1 and d + 2: a d-face
+under no (d + 1)-face is a zero column of the coboundary into degree d and
+changes no rank or torsion, and every other d-face is a face of a
+(d + 1)-face.  Let V_d, the active vertices, be the vertices of the faces
+of sizes d + 1 and d + 2 (for d = -1, the vertices of K).  Then H^d(K_J)
+depends only on A = J meet V_d, since every face of size d + 1 or d + 2
+inside J lies inside A.
 
 So the sum over J is a sum over A inside V_d, and each A stands for the
 C(n - |V_d|, q - |A|) subsets J that add q - |A| of the other, inert
-vertices to it.  A window is the faces inside A of the three sizes,
+vertices to it.  A window is the faces inside A of the two sizes,
 relabelled increasingly onto 0..|A| - 1.  Windows are read off K per
 subset; only the first A with a given window is restricted and solved,
 and windows that are equal share that solve for the length of one call.
@@ -94,20 +93,9 @@ def _windows(K: SimplicialComplex, p: int, q: int, ring: str):
         return
     upper = K.faces_of_size(d + 2)
     active = sorted({v for f in middle + upper for v in f})
-    seen = set(active)
-    inert = tuple([v for v in range(1, K.n + 1) if v not in seen])
+    inert = tuple(sorted(set(range(1, K.n + 1)).difference(active)))
     bit = {v: 1 << i for i, v in enumerate(active)}
-    levels = []
-    for faces in (K.faces_of_size(d), middle, upper):
-        level = []
-        for f in faces:
-            if seen.issuperset(f):  # a d-face outside V_d is a zero column
-                mask = 0
-                for v in f:
-                    mask |= bit[v]
-                level.append((mask, f))
-        levels.append(level)
-    lows, mids, ups = levels
+    mids, ups = ([(sum(map(bit.get, f)), f) for f in faces] for faces in (middle, upper))
     cone = {mask: mask for mask, _ in mids}
     for mask, f in ups:
         for j in range(len(f)):
@@ -116,10 +104,7 @@ def _windows(K: SimplicialComplex, p: int, q: int, ring: str):
     for k in range(max(0, q - len(inert)), min(q, len(active)) + 1):
         count = comb(len(inert), q - k)
         for A in combinations(active, k):
-            a = 0
-            for v in A:
-                a |= bit[v]
-            apexes = a
+            a = apexes = sum(map(bit.get, A))
             inside = []
             for mask, f in mids:
                 if mask & a == mask:
@@ -128,10 +113,8 @@ def _windows(K: SimplicialComplex, p: int, q: int, ring: str):
             if not inside or apexes:
                 continue
             label = {v: i for i, v in enumerate(A)}
-            mid = [tuple([label[v] for v in f]) for f in inside]
-            low = [tuple([label[v] for v in f]) for mask, f in lows if mask & a == mask]
-            up = [tuple([label[v] for v in f]) for mask, f in ups if mask & a == mask]
-            key = (tuple(low), tuple(mid), tuple(up))
+            key = (tuple([tuple([label[v] for v in f]) for f in inside]),
+                   tuple([tuple([label[v] for v in f]) for mask, f in ups if mask & a == mask]))
             H = solved.get(key)
             if H is None:
                 H = solved[key] = reduced_cohomology(full_subcomplex(K, A), d, ring=ring)

@@ -22,11 +22,12 @@ representatives through the connecting map to the admissible tuples,
 giving the cocycles the periods integrate.  The basis runs that map in
 integers, on each representative cleared of its denominators, and writes
 the values straight into the cochains, whose tuples it built canonical
-and admissible itself.  One call enumerates the cover levels t - 2 .. t
-once, each tuple with the vertex set of its meet; index sets that cut
-the union of the meets of levels t - 1 and t in the same vertices have
-the same B, so each distinct B is solved once per call, and nothing is
-kept after the call.  Every solve goes through homology_of_pair over Q
+and admissible itself.  One call enumerates the cover levels t - 1 and t
+once, each tuple with the vertex set of its meet, and takes B's level
+t - 2 as the deletions of its level t - 1; index sets that cut the
+union of the meets of levels t - 1 and t in the same vertices have the
+same B, so each distinct B is solved once per call, and nothing is kept
+after the call.  Every solve goes through homology_of_pair over Q
 (ranks only for a dimension), which checks that the complex it solves
 composes to zero, so the check also covers the filter that chose its
 tuples.
@@ -154,19 +155,19 @@ def block_matrix(K: SimplicialComplex, I: tuple, t: int) -> IntMatrix:
 
 
 def _cover_levels(K: SimplicialComplex, r: int, t: int):
-    """Cover levels t - 2 .. t with meet bitmasks, and the r-sets by key.
+    """Cover levels t - 1 and t with meet bitmasks, and the r-sets by key.
 
     Each level s is block_tuples(K, (), s) as a list of (tuple, bitmask of
     its meet).  The key of an r-set is the set of vertices in which it cuts
-    the union of the meets on levels t - 1 and t, so r-sets with one key
-    admit the same tuples on those levels.  The groups map each key to its
-    r-sets in ascending order, keys in the order of their first r-set; a
-    key that is the mask of a nonempty face is left out (see _complements).
+    the union of the meets on both levels, so r-sets with one key admit the
+    same tuples on them.  The groups map each key to its r-sets in
+    ascending order, keys in the order of their first r-set; a key that is
+    the mask of a nonempty face is left out (see _complements).
     """
     mask = {f: sum(1 << v for v in f) for f in K.faces_sorted()}
     levels = [[(T, reduce(and_, map(mask.get, T))) for T in block_tuples(K, (), s)]
-              for s in range(t - 2, t + 1)]
-    meet_vertices = reduce(or_, (m for level in levels[1:] for _, m in level), 0)
+              for s in (t - 1, t)]
+    meet_vertices = reduce(or_, (m for level in levels for _, m in level), 0)
     cones = {m for m in mask.values() if m}
     groups = {}
     for I in combinations(range(1, K.n + 1), r):
@@ -192,24 +193,31 @@ def _complements(K: SimplicialComplex, r: int, t: int):
     face lies in every complex, and putting it in front of a tuple of B
     gives an admissible tuple one level up, so mid is never longer than
     the admissible tuples.  The key comes from the meets on levels t - 1
-    and t (see _cover_levels), which decides B exactly on those levels; on
-    level t - 2 it may leave out a tuple whose meet meets an r-set only
-    outside those meets, but no tuple of B on level t - 1 contains such a
-    tuple, so it would only add a zero column to the incoming differential.
-    A degree past the face count has no tuples, hence no cohomology, and
-    yields nothing.
+    and t (see _cover_levels), which decides B exactly on those levels.
+    Level t - 2 is taken as the distinct deletions of mid's tuples: a
+    tuple of level t - 2 that is no such deletion would only add a zero
+    column to the incoming differential, and there is none.  If v is in
+    the key and in the meet of a level-(t - 2) tuple T, then v is in the
+    meet of some tuple M of level t - 1, so t faces of K pass through v;
+    T uses only t - 1 of them, and adding one of the others keeps v in the
+    meet, so T is a deletion of a tuple of mid.  At t = 1 the deletions
+    are the empty tuple exactly when mid is nonempty; an empty mid has no
+    cohomology whatever low holds.  A degree past the face count, or a
+    negative form degree, has no cohomology and yields nothing.
     No key is yielded that is the vertex set of a nonempty face sigma of K,
     as its B has no cohomology: adding sigma to a tuple T of B cuts T's
     meet by sigma, which it already meets, so B is a cone on sigma, and a
     cone has no reduced cohomology in any degree.
     """
+    if r < 0:
+        return
     levels, groups = _cover_levels(K, r, t)
-    if levels[2]:
+    if levels[1]:
         for key, index_sets in groups.items():
-            yield (index_sets,
-                   *([()] if s == -1 else [T for T, m in level if m & key]
-                     for s, level in enumerate(levels, t - 2)),
-                   _missing(levels[2], key))
+            mid, high = ([()] if s == -1 else [T for T, m in level if m & key]
+                         for s, level in enumerate(levels, t - 1))
+            low = list(dict.fromkeys(T[:j] + T[j + 1:] for T in mid for j in range(len(T))))
+            yield index_sets, low, mid, high, _missing(levels[1], key)
 
 
 def _missing(level: list, key: int):

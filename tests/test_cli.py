@@ -1,8 +1,11 @@
 """Tests for the command-line interface: subcommands, formats, exit codes."""
 
+import contextlib
 import json
 import multiprocessing
 import os
+import select
+import signal
 import subprocess
 import sys
 
@@ -246,8 +249,8 @@ def test_worker_pool_capped_at_cpu_count(monkeypatch, capsys):
         def __exit__(self, *exc):
             return False
 
-        def map(self, worker, payloads):
-            return [worker(payload) for payload in payloads]
+        def imap(self, worker, payloads, chunksize):
+            return map(worker, payloads)
 
     assert cli.main(["scan", "-n", "3"]) == 0
     serial = capsys.readouterr().out
@@ -259,12 +262,12 @@ def test_worker_pool_capped_at_cpu_count(monkeypatch, capsys):
     assert sizes == [2]
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-    assert cli._run_parallel(abs, [-1, -2, -3], 1000) == [1, 2, 3]
+    assert list(cli._run_parallel(abs, [-1, -2, -3], 1000)) == [1, 2, 3]
     assert sizes == [2, 3]
 
     # an unknown CPU count means one process: no pool at all
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert cli._run_parallel(abs, [-1, -2, -3], 1000) == [1, 2, 3]
+    assert list(cli._run_parallel(abs, [-1, -2, -3], 1000)) == [1, 2, 3]
     assert sizes == [2, 3]
 
 
@@ -405,3 +408,50 @@ def test_closed_output_pipe_exits_141_without_traceback():
         os.close(write_end)
     assert result.returncode == 141
     assert "Traceback" not in result.stderr
+
+
+def scan_peak_rss_kb(samples, jobs):
+    """Peak RSS, in KiB, of the largest process of one sampled scan at n = 1,
+    read in a fresh parent so that no other child counts."""
+    code = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'momentangle', 'scan', '-n', '1',"
+        f" '--samples', '{samples}', '--jobs', '{jobs}'],"
+        " stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True)
+    return int(result.stdout)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_memory_does_not_grow_with_the_sample_count(jobs):
+    # holding every complex or every line of 10000 samples costs several MB
+    small = scan_peak_rss_kb(1000, jobs)
+    large = scan_peak_rss_kb(10000, jobs)
+    assert large <= small + 2048, (small, large)
+
+
+def test_scan_streams_lines_and_stops_with_its_reader():
+    # 50000 samples at n = 4 take about a minute of CPU, but the first line
+    # arrives at once; closing the pipe then ends the run with 141, and its
+    # pool workers, in its process group, with it
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "momentangle", "scan", "-n", "4",
+         "--samples", "50000", "--jobs", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 10)
+        assert ready and proc.stdout.readline().startswith("n=4")
+        assert proc.poll() is None
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert "Traceback" not in proc.stderr.read()
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        proc.stderr.close()

@@ -90,6 +90,17 @@ def test_cli_output_unchanged(name, tmp_path):
     assert run_invocation(INVOCATIONS[name], tmp_path) == want
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(name for name in INVOCATIONS if name.startswith("scan")))
+def test_scan_output_unchanged_at_either_worker_count(name, jobs, tmp_path):
+    argv = INVOCATIONS[name]
+    if "--jobs" in argv:
+        at = argv.index("--jobs")
+        argv = argv[:at] + argv[at + 2:]
+    want = (EXPECTED / f"{name}.txt").read_text()
+    assert run_invocation(argv + ["--jobs", jobs], tmp_path) == want
+
+
 if __name__ == "__main__":
     EXPECTED.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:

@@ -14,7 +14,7 @@ from momentangle.hochster import (
     hochster_summands,
     reduced_cohomology,
 )
-from momentangle.koszul import koszul_bigraded
+from momentangle.koszul import koszul_bigraded, koszul_cohomology
 from momentangle.linalg import invariant_factor_chain
 from momentangle.simplicial import (
     SimplicialComplex,
@@ -168,12 +168,14 @@ def test_hochster_equals_the_restriction_reference_on_five_vertices():
 
 
 def test_shared_solves_key_on_the_faces_one_size_up():
-    # the filled triangle (1, 2, 3) has the vertices and edges of the
-    # hollow ones; only its 2-face tells its H^1 apart
-    K = SimplicialComplex.from_facets(4, [[1, 2, 3], [1, 4], [2, 4], [3, 4]])
-    summands = hochster_summands(K, 1, 3)
-    assert [J for J, _ in summands] == [(1, 2, 4), (1, 3, 4), (2, 3, 4)]
-    assert all((H.rank, H.torsion) == (1, ()) for _, H in summands)
+    # the windows {1, 2, 3, 4} and {5, 6, 7, 8} both hold the six edges of a
+    # K4, and neither is a cone in degree 1; only the triangles (1, 2, 3) and
+    # (1, 2, 4) of the first tell its H^1 apart
+    K = SimplicialComplex.from_facets(8, [[1, 2, 3], [1, 2, 4], [3, 4], [5, 6], [5, 7],
+                                          [5, 8], [6, 7], [6, 8], [7, 8]])
+    summands = dict(hochster_summands(K, 2, 4))
+    assert (summands[(1, 2, 3, 4)].rank, summands[(5, 6, 7, 8)].rank) == (1, 3)
+    assert_equals_restriction_reference(K)
 
 
 def apex(K, A, d):
@@ -188,7 +190,7 @@ def apex(K, A, d):
 
 def windows(K, p, q):
     """The distinct windows of (p, q) with a nonempty middle and no apex: for
-    each q-subset J, the faces of sizes d, d + 1 and d + 2 of K restricted to
+    each q-subset J, the faces of sizes d + 1 and d + 2 of K restricted to
     the vertices of J that lie in a face of size d + 1 or d + 2."""
     d = q - p - 1
     active = {v for f in K.faces_of_size(d + 1) + K.faces_of_size(d + 2) for v in f}
@@ -196,7 +198,7 @@ def windows(K, p, q):
     for J in combinations(range(1, K.n + 1), q):
         L = full_subcomplex(K, [v for v in J if v in active])
         if L.faces_of_size(d + 1) and apex(L, range(1, L.n + 1), d) is None:
-            keys.add((L.faces_of_size(d), L.faces_of_size(d + 1), L.faces_of_size(d + 2)))
+            keys.add((L.faces_of_size(d + 1), L.faces_of_size(d + 2)))
     return keys
 
 
@@ -216,6 +218,19 @@ def test_one_solve_per_distinct_window(monkeypatch):
         assert len(restricts) == len(solves) == want, (p, q)
         shared += comb(6, q) - want
     assert shared > 0
+
+
+def test_windows_apart_only_in_isolated_low_faces_share_one_solve(monkeypatch):
+    # at (2, 5), d = 2: the windows {1, 2, 3, 4, 5} and {1, 2, 3, 4, 6} have
+    # the same 3- and 4-faces, the hollow tetrahedron's triangles and none;
+    # they differ only in the edge {1, 5}, which lies in no triangle, so it
+    # is a zero column of the coboundary into degree 2
+    K = parse_complex('{"n": 7, "facets": [[1,2,3],[1,2,4],[1,3,4],[2,3,4],[5,6,7],[1,5]]}')
+    solves = count_calls(monkeypatch, "reduced_cohomology")
+    H = hochster_cohomology(K, 2, 5)
+    assert len(solves) == len(windows(K, 2, 5)) == 1
+    G = koszul_cohomology(K, 2, 5, want_representatives=False)
+    assert (H.rank, H.torsion) == (G.rank, G.torsion) == (3, ())
 
 
 def assert_cones_are_acyclic(K):

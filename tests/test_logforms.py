@@ -353,6 +353,30 @@ def test_complements_agree_with_every_block_n5():
     assert min(seen.values()) > 0 and len(seen) == 5, seen
 
 
+def test_low_slot_is_the_deletions_of_the_middle():
+    # level t - 2 of B, read off the cover by the key, equals the distinct
+    # deletions of B's level t - 1 for t >= 2; at t = 1 it is the empty
+    # tuple exactly when level 0 is nonempty
+    slots = Counter()
+    for n in (1, 2, 3, 4):
+        for K in enumerate_complexes(n):
+            if len(K.faces) > 9:
+                continue
+            for t in range(1, len(K.faces) + 1):
+                meets = _meets(K, t)
+                below = block_tuples(K, (), t - 2)
+                for r in range(K.n + 1):
+                    for index_sets, low, mid, _, _ in logforms._complements(K, r, t):
+                        if t == 1:
+                            assert low == ([()] if mid else []), (K, r, t)
+                            continue
+                        key = set(_key(meets, index_sets[0]))
+                        want = {T for T in below if _meet(T) & key}
+                        assert len(low) == len(set(low)) and set(low) == want, (K, r, t)
+                        slots[bool(low)] += 1
+    assert slots[True] > 0 and slots[False] > 0, slots
+
+
 def _check_dropped_keys(targets):
     """Every r-set is yielded exactly when its key is not a nonempty face; each
     face key's B, filtered from the cover levels here, solves to rank 0."""
@@ -397,10 +421,11 @@ def test_complement_edge_cases():
     assert B == [[], [()], []]
     assert list(admissible) == block_tuples(K, (), 0)
     assert _solve(*B) == log_cohomology_dim(K, 0, 0) == 1
-    # r = 0: the key is empty, so B is the empty tuple alone at every t
+    # r = 0: the key is empty, so no tuple of level 0 or more is in B; at
+    # t = 1 its low slot, the deletions of an empty mid, is empty too
     for t in (1, 2):
         [(_, *B, _)] = logforms._complements(K, 0, t)
-        assert [T for level in B for T in level] == ([()] if t == 1 else [])
+        assert B == [[], [], []]
         assert _solve(*B) == 0
     # past the face count (three faces) there is nothing to solve
     assert list(logforms._complements(K, 0, 3)) == []
@@ -434,6 +459,13 @@ def test_log_cohomology_dim_ranks_the_complements(monkeypatch):
     assert log_cohomology_dim(K, r, t) == 0
     assert [d_in.nrows for d_in, _ in calls] == [m for _, m in keys]
     assert sum(m for _, m in keys) * 4 < sum(len(block_tuples(K, I, t)) for I, _ in keys)
+
+
+def test_negative_form_degree_is_zero():
+    # as at a negative cover degree: no r-sets, so nothing to solve
+    for K in (two_points(), square()):
+        assert log_cohomology_dim(K, -1, 1) == 0 and log_cohomology_basis(K, -1, 1) == []
+        assert log_cohomology_dim(K, 1, -1) == 0 and log_cohomology_basis(K, 1, -1) == []
 
 
 def test_log_cohomology_dims_of_the_prism_are_its_betti_ranks():
