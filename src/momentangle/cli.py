@@ -27,6 +27,7 @@ import json
 import os
 import random
 import sys
+from collections import deque
 from contextlib import closing
 from itertools import chain, combinations, islice
 
@@ -69,6 +70,11 @@ ALL_ENGINES = ("koszul", "hochster", "cech")
 # cap on coboundary spot-checks per bidegree during `verify --engines ...,cech`
 MAX_COBOUNDARY_CHECKS = 200
 
+# payloads per pool task for scan: on a 2-CPU host, 2000 samples at n = 5
+# took 3.2 s in tasks of 32 against 5.1 s in tasks of 1; verify, with at
+# most a few dozen heavy bidegrees, sends one per task
+SCAN_CHUNK = 32
+
 
 # ---------------------------------------------------------------------------
 # plumbing
@@ -110,26 +116,40 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _run_parallel(worker, payloads, jobs: int):
+def _map_chunk(worker, chunk: list) -> list:
+    return [worker(payload) for payload in chunk]
+
+
+def _run_parallel(worker, payloads, jobs: int, chunksize: int = 1):
     """Map a worker over payloads lazily and in order, optionally with a pool.
 
     The pool never has more processes than payloads or than CPUs: it is
     sized by reading at most that many payloads ahead, and it is shut down
-    when the returned generator finishes or is closed.
+    when the returned generator finishes or is closed.  Tasks grow from one
+    payload to `chunksize`, so the first results come at once, and at most
+    two tasks per process are in flight, so a reader that stops stops the
+    workers too and no more results than those are held.
     """
     payloads = iter(payloads)
     head = list(islice(payloads, min(jobs, os.cpu_count() or 1)))
+    payloads = chain(head, payloads)
     if len(head) > 1:
         # imported only here: a serial run, the default, would otherwise pay
         # for loading pickle, socket and signal at start-up
         from multiprocessing import Pool
 
         with Pool(processes=len(head)) as pool:
-            # a few payloads per task amortise the pipe, and results still
-            # come back as they are computed
-            yield from pool.imap(worker, chain(head, payloads), chunksize=8)
+            pending = deque()
+            size = 1
+            while chunk := list(islice(payloads, size)):
+                size = min(2 * size, chunksize)
+                pending.append(pool.apply_async(_map_chunk, (worker, chunk)))
+                if len(pending) > 2 * len(head):
+                    yield from pending.popleft().get()
+            while pending:
+                yield from pending.popleft().get()
     else:
-        yield from map(worker, chain(head, payloads))
+        yield from map(worker, payloads)
 
 
 def format_cell(cell) -> str:
@@ -440,9 +460,9 @@ def cmd_scan(args) -> int:
                 f"use --samples for larger n")
         complexes = enumerate_complexes(n)
     payloads = ((K, args.ring, args.format) for K in complexes)
-    with closing(_run_parallel(_scan_worker, payloads, args.jobs)) as lines:
+    with closing(_run_parallel(_scan_worker, payloads, args.jobs, SCAN_CHUNK)) as lines:
         for line in lines:
-            print(line)
+            print(line, flush=True)
     return EXIT_OK
 
 

@@ -93,9 +93,19 @@ def _windows(K: SimplicialComplex, p: int, q: int, ring: str):
         return
     upper = K.faces_of_size(d + 2)
     active = sorted({v for f in middle + upper for v in f})
-    inert = tuple(sorted(set(range(1, K.n + 1)).difference(active)))
+    seen = set(active)
+    inert = tuple([v for v in range(1, K.n + 1) if v not in seen])
     bit = {v: 1 << i for i, v in enumerate(active)}
-    mids, ups = ([(sum(map(bit.get, f)), f) for f in faces] for faces in (middle, upper))
+    levels = []
+    for faces in (middle, upper):
+        level = []
+        for f in faces:
+            mask = 0
+            for v in f:
+                mask |= bit[v]
+            level.append((mask, f))
+        levels.append(level)
+    mids, ups = levels
     cone = {mask: mask for mask, _ in mids}
     for mask, f in ups:
         for j in range(len(f)):
@@ -104,7 +114,10 @@ def _windows(K: SimplicialComplex, p: int, q: int, ring: str):
     for k in range(max(0, q - len(inert)), min(q, len(active)) + 1):
         count = comb(len(inert), q - k)
         for A in combinations(active, k):
-            a = apexes = sum(map(bit.get, A))
+            a = 0
+            for v in A:
+                a |= bit[v]
+            apexes = a
             inside = []
             for mask, f in mids:
                 if mask & a == mask:
@@ -113,8 +126,9 @@ def _windows(K: SimplicialComplex, p: int, q: int, ring: str):
             if not inside or apexes:
                 continue
             label = {v: i for i, v in enumerate(A)}
-            key = (tuple([tuple([label[v] for v in f]) for f in inside]),
-                   tuple([tuple([label[v] for v in f]) for mask, f in ups if mask & a == mask]))
+            mid = [tuple([label[v] for v in f]) for f in inside]
+            up = [tuple([label[v] for v in f]) for mask, f in ups if mask & a == mask]
+            key = (tuple(mid), tuple(up))
             H = solved.get(key)
             if H is None:
                 H = solved[key] = reduced_cohomology(full_subcomplex(K, A), d, ring=ring)

@@ -194,16 +194,13 @@ def _complements(K: SimplicialComplex, r: int, t: int):
     gives an admissible tuple one level up, so mid is never longer than
     the admissible tuples.  The key comes from the meets on levels t - 1
     and t (see _cover_levels), which decides B exactly on those levels.
-    Level t - 2 is taken as the distinct deletions of mid's tuples: a
-    tuple of level t - 2 that is no such deletion would only add a zero
-    column to the incoming differential, and there is none.  If v is in
-    the key and in the meet of a level-(t - 2) tuple T, then v is in the
-    meet of some tuple M of level t - 1, so t faces of K pass through v;
-    T uses only t - 1 of them, and adding one of the others keeps v in the
-    meet, so T is a deletion of a tuple of mid.  At t = 1 the deletions
-    are the empty tuple exactly when mid is nonempty; an empty mid has no
-    cohomology whatever low holds.  A degree past the face count, or a
-    negative form degree, has no cohomology and yields nothing.
+    Level t - 2 is taken as the deletions of mid's tuples, which leaves out
+    only zero columns of the incoming differential: each vertex of the key
+    lies in a level-(t - 1) meet, so t faces contain it, and adding one of
+    them to a level-(t - 2) tuple whose meet holds it gives a tuple of mid.
+    At t = 1 that is [()] exactly when mid is nonempty, and an empty mid has
+    no cohomology.  A degree past the face count, or a negative form degree,
+    yields nothing.
     No key is yielded that is the vertex set of a nonempty face sigma of K,
     as its B has no cohomology: adding sigma to a tuple T of B cuts T's
     meet by sigma, which it already meets, so B is a cone on sigma, and a

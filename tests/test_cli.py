@@ -1,6 +1,7 @@
 """Tests for the command-line interface: subcommands, formats, exit codes."""
 
 import contextlib
+import io
 import json
 import multiprocessing
 import os
@@ -8,6 +9,7 @@ import select
 import signal
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -249,8 +251,9 @@ def test_worker_pool_capped_at_cpu_count(monkeypatch, capsys):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, worker, payloads, chunksize):
-            return map(worker, payloads)
+        def apply_async(self, func, args):
+            result = func(*args)
+            return types.SimpleNamespace(get=lambda: result)
 
     assert cli.main(["scan", "-n", "3"]) == 0
     serial = capsys.readouterr().out
@@ -430,6 +433,53 @@ def test_scan_memory_does_not_grow_with_the_sample_count(jobs):
     small = scan_peak_rss_kb(1000, jobs)
     large = scan_peak_rss_kb(10000, jobs)
     assert large <= small + 2048, (small, large)
+
+
+def paused_reader_peak_rss_kb(samples):
+    """Peak RSS, in KiB, of the largest process of one sampled scan at n = 1
+    with two jobs, whose reader takes one line, pauses for two seconds and
+    then closes the pipe."""
+    code = (
+        "import resource, subprocess, sys, time\n"
+        "proc = subprocess.Popen([sys.executable, '-m', 'momentangle', 'scan',"
+        f" '-n', '1', '--samples', '{samples}', '--jobs', '2'],"
+        " stdout=subprocess.PIPE)\n"
+        "proc.stdout.readline()\n"
+        "time.sleep(2)\n"
+        "proc.stdout.close()\n"
+        "assert proc.wait(timeout=60) == 141\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True)
+    return int(result.stdout)
+
+
+def test_scan_memory_stays_flat_while_its_reader_pauses():
+    # with nothing to stop the pool, the workers would go on computing while
+    # the reader sleeps, and their results would pile up unread
+    small = scan_peak_rss_kb(1000, 2)
+    paused = paused_reader_peak_rss_kb(200000)
+    assert paused <= small + 2048, (small, paused)
+
+
+def test_scan_flushes_each_line(monkeypatch):
+    class Recorder(io.StringIO):
+        """Stands in for stdout: records what has been written at each flush."""
+
+        def __init__(self):
+            super().__init__()
+            self.flushed = []
+
+        def flush(self):
+            self.flushed.append(self.getvalue())
+
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["scan", "-n", "2"]) == 0
+    lines = out.getvalue().splitlines(keepends=True)
+    assert len(lines) == 5
+    # a reader sees each line when it is printed, not a block at a time
+    assert out.flushed[:len(lines)] == ["".join(lines[:k + 1]) for k in range(len(lines))]
 
 
 def test_scan_streams_lines_and_stops_with_its_reader():

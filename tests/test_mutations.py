@@ -26,9 +26,8 @@ MUTANTS = [
     # a window keyed on its (d + 1)-faces alone: the filled triangle shares
     # the hollow one's solve
     ("hochster-key-without-up", "hochster.py",
-     "                   tuple([tuple([label[v] for v in f]) for mask, f in ups"
-     " if mask & a == mask]))\n",
-     "                   )\n",
+     "key = (tuple(mid), tuple(up))",
+     "key = tuple(mid)",
      ["tests/test_hochster.py::test_shared_solves_key_on_the_faces_one_size_up"]),
     # a cone mask without the face's own vertices: a maximal (d + 1)-face
     # then rules out every apex, and cones are solved
