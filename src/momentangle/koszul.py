@@ -25,7 +25,10 @@ sets: this is the Z^n-multigrading of the algebra.  Cohomology is
 therefore computed one support block at a time, each block with its own
 small pair of matrices, and summed; a term that leaves its block raises
 InvariantViolation.  Smith transforms are paid for only when
-representatives are requested.
+representatives are requested.  koszul_cohomology builds the three bases
+around its bidegree; koszul_bigraded builds each basis of the table once,
+grouped by support, and keeps only the groups of the q it is solving.
+Both solve the blocks through one private loop, _solve.
 """
 
 from __future__ import annotations
@@ -109,6 +112,28 @@ def _support_blocks(basis: tuple) -> dict:
     return blocks
 
 
+def _solve(K: SimplicialComplex, middle: dict, lower: dict, upper: dict,
+           ring: str, want_representatives: bool) -> tuple:
+    """Cohomology of the support blocks of `middle`, each against its neighbours.
+
+    All three are support groupings from _support_blocks; the block with
+    support S is solved against lower[S] and upper[S], empty where absent.
+    Returns (rank, torsion chain, representatives), the representatives as
+    (block, local coordinates) pairs.
+    """
+    rank, torsion, reps = 0, [], []
+    for S, block in middle.items():
+        d_out = _matrix(K, block, lower.get(S, ()))
+        d_in = _matrix(K, upper.get(S, ()), block)
+        H = homology_of_pair(d_in, d_out, ring=ring,
+                             want_representatives=want_representatives)
+        rank += H.rank
+        torsion.extend(H.torsion)
+        for local in H.representatives:
+            reps.append((block, local))
+    return rank, invariant_factor_chain(torsion), reps
+
+
 def koszul_cohomology(K: SimplicialComplex, p: int, q: int, ring: str = "Z",
                       want_representatives: bool = True) -> HomologyResult:
     """Cohomology of the algebra in bidegree (-p, 2q).
@@ -123,41 +148,42 @@ def koszul_cohomology(K: SimplicialComplex, p: int, q: int, ring: str = "Z",
     middle = koszul_basis(K, p, q)
     if not middle:
         return HomologyResult(0, (), ())
-    lower = _support_blocks(koszul_basis(K, p - 1, q))
-    upper = _support_blocks(koszul_basis(K, p + 1, q))
-    zero = Fraction(0) if ring == "Q" else 0
-    rank, torsion, reps = 0, [], []
-    position = None  # monomial -> index in middle, built for the first representative
-    for S, block in _support_blocks(middle).items():
-        d_out = _matrix(K, block, lower.get(S, ()))
-        d_in = _matrix(K, upper.get(S, ()), block)
-        H = homology_of_pair(d_in, d_out, ring=ring,
-                             want_representatives=want_representatives)
-        rank += H.rank
-        torsion.extend(H.torsion)
-        if H.representatives and position is None:
-            position = {m: i for i, m in enumerate(middle)}
-        for local in H.representatives:
+    rank, torsion, local = _solve(
+        K, _support_blocks(middle), _support_blocks(koszul_basis(K, p - 1, q)),
+        _support_blocks(koszul_basis(K, p + 1, q)), ring, want_representatives)
+    reps = []
+    if local:
+        zero = Fraction(0) if ring == "Q" else 0
+        position = {m: i for i, m in enumerate(middle)}
+        for block, coords in local:
             vec = [zero] * len(middle)
-            for m, v in zip(block, local):
+            for m, v in zip(block, coords):
                 vec[position[m]] = v
             reps.append(tuple(vec))
-    return HomologyResult(rank, invariant_factor_chain(torsion), tuple(reps))
+    return HomologyResult(rank, torsion, tuple(reps))
 
 
 def koszul_bigraded(K: SimplicialComplex, ring: str = "Z") -> dict:
     """All nonzero cohomology groups, keyed by (p, q).
 
     Values are HomologyResult without representatives; use
-    koszul_cohomology for a single bidegree with cycles.
+    koszul_cohomology for a single bidegree with cycles.  Each q builds
+    koszul_basis(K, p, q) once for every p it reads and groups it by
+    support once; the groups of a q are dropped when the next q starts.
+    Every middle block is solved exactly as koszul_cohomology solves it.
     """
+    check_ring(ring)
     max_face = max(len(f) for f in K.faces)
     table = {}
     for q in range(0, K.n + 1):  # exterior and face parts are disjoint, so q <= n
         # a face of size q - p leaves n - (q - p) >= p vertices for the
-        # exterior part, so every basis in this range is nonempty
-        for p in range(max(0, q - max_face), q + 1):
-            H = koszul_cohomology(K, p, q, ring=ring, want_representatives=False)
-            if H.rank or H.torsion:
-                table[(p, q)] = H
+        # exterior part, so every middle basis in this range is nonempty;
+        # the neighbours lo - 1 and q + 1 at its ends are empty
+        lo = max(0, q - max_face)
+        groups = {p: _support_blocks(koszul_basis(K, p, q)) for p in range(lo - 1, q + 2)}
+        for p in range(lo, q + 1):
+            rank, torsion, _ = _solve(K, groups[p], groups[p - 1], groups[p + 1],
+                                      ring, want_representatives=False)
+            if rank or torsion:
+                table[(p, q)] = HomologyResult(rank, torsion, ())
     return table

@@ -18,6 +18,7 @@ from momentangle.koszul import (
 )
 from momentangle.linalg import HomologyResult, quotient_representatives
 from momentangle.simplicial import SimplicialComplex, enumerate_complexes
+from test_hochster import with_ghosts
 
 
 def two_points():
@@ -252,6 +253,45 @@ def test_empty_middle_basis_builds_no_neighbour(monkeypatch):
                         assert koszul_cohomology(K, p, q, ring=ring) == \
                             HomologyResult(0, (), ())
                     assert calls == [(p, q)] * 2
+
+
+def assert_table_equals_bidegrees(K, ring):
+    table = koszul_bigraded(K, ring=ring)
+    want = {}
+    for q in range(K.n + 1):
+        for p in range(q + 1):
+            H = koszul_cohomology(K, p, q, ring=ring, want_representatives=False)
+            if H.rank or H.torsion:
+                want[(p, q)] = H
+    assert table == want, (K, ring)
+    return table
+
+
+def test_table_equals_its_bidegrees():
+    # the table builds each basis once and solves from its own groups; it
+    # must read exactly what the bidegree calls read
+    for ring in ("Z", "Q"):
+        for n in (1, 2, 3, 4):
+            for K in enumerate_complexes(n):
+                assert_table_equals_bidegrees(K, ring)
+    for K in (rp2_six(), with_ghosts(rp2_six(), 2)):
+        table = assert_table_equals_bidegrees(K, "Z")
+        assert table[(3, 6)] == HomologyResult(0, (2,), ())
+        assert_table_equals_bidegrees(K, "Q")
+
+
+def test_table_builds_each_basis_once(monkeypatch):
+    real = koszul.koszul_basis
+    calls = []
+
+    def counting(K, p, q):
+        calls.append((p, q))
+        return real(K, p, q)
+
+    monkeypatch.setattr(koszul, "koszul_basis", counting)
+    table = koszul_bigraded(rp2_six())
+    assert table[(3, 6)].torsion == (2,)
+    assert len(calls) == len(set(calls)) == 36
 
 
 def test_rational_ranks_match_integer():

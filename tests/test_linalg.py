@@ -12,8 +12,19 @@ import pytest
 from momentangle import linalg
 from momentangle.cells import boundary_matrix
 from momentangle.errors import CompositionError, InvariantViolation
-from momentangle.hochster import hochster_cohomology, hochster_summands, reduced_cohomology
-from momentangle.koszul import _matrix, _support_blocks, koszul_basis, koszul_cohomology
+from momentangle.hochster import (
+    hochster_bigraded,
+    hochster_cohomology,
+    hochster_summands,
+    reduced_cohomology,
+)
+from momentangle.koszul import (
+    _matrix,
+    _support_blocks,
+    koszul_basis,
+    koszul_bigraded,
+    koszul_cohomology,
+)
 from momentangle.linalg import (
     HomologyResult,
     IntMatrix,
@@ -27,6 +38,7 @@ from momentangle.linalg import (
     smith_normal_form,
     smith_with_transforms,
 )
+from momentangle.report import betti_table
 from momentangle.simplicial import SimplicialComplex, enumerate_complexes
 
 
@@ -289,7 +301,8 @@ def test_homology_rejects_bad_composition():
 
 def test_invalid_ring_is_refused_at_an_empty_bidegree():
     # the plane minus the origin: bidegree (0, 2) and reduced degree 1 hold
-    # no cochains, so each call would return zero before reaching any solve
+    # no cochains, so each call would return zero before reaching any solve;
+    # the whole tables must refuse the ring too
     K = SimplicialComplex.from_facets(2, [[1], [2]])
     calls = [
         lambda: homology_of_pair(IntMatrix(0, 0), IntMatrix(0, 0), ring="q"),
@@ -298,6 +311,10 @@ def test_invalid_ring_is_refused_at_an_empty_bidegree():
         lambda: hochster_cohomology(K, 0, 2, ring="zz"),
         lambda: hochster_cohomology(K, -1, 3, ring="zz"),
         lambda: reduced_cohomology(K, 1, ring="zz"),
+        lambda: koszul_bigraded(K, ring="zz"),
+        lambda: hochster_bigraded(K, ring="zz"),
+        lambda: betti_table(K, ring="zz"),
+        lambda: betti_table(K, ring="zz", engine="hochster"),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="ring"):

@@ -50,6 +50,28 @@ MUTANTS = [
      "if all(a < b for a, b in zip(keys, keys[1:])):",
      "if all(a <= b for a, b in zip(keys, keys[1:])):",
      ["tests/test_cech.py::test_canonical_tuple_sorts_and_signs"]),
+    # the Koszul table solving each middle block against its upper
+    # neighbours as if they were the lower ones, and the other way round
+    ("koszul-table-neighbours-swapped", "koszul.py",
+     "groups[p], groups[p - 1], groups[p + 1]",
+     "groups[p], groups[p + 1], groups[p - 1]",
+     ["tests/test_koszul.py::test_table_equals_its_bidegrees"]),
+    # each resolvent level's boundary added with the opposite sign, so a
+    # valid ladder no longer cancels
+    ("resolvent-residue-sign", "cech.py",
+     "apply_boundary(chain), 1 if (s - i) % 2 else -1)",
+     "apply_boundary(chain), -1 if (s - i) % 2 else 1)",
+     ["tests/test_cech.py::test_square_ladder_is_valid"]),
+    # a cycle whose disc sets are not faces of K taken for a cycle of K
+    ("cycle-problem-without-disc-face-check", "cech.py",
+     "if not K.has_face(cell.disks):",
+     "if False:",
+     ["tests/test_cech.py::test_validate_reports_each_failure[non-face-disc-set]"]),
+    # every invariant factor other than 1 doubled by the Smith elimination
+    ("smith-non-unit-factors-doubled", "linalg.py",
+     "factors = [A[i][i] for i in range(min(m, n)) if A[i][i]]",
+     "factors = [A[i][i] if A[i][i] == 1 else 2 * A[i][i] for i in range(min(m, n)) if A[i][i]]",
+     ["tests/test_witnesses.py::test_rank_mod_counts_the_invariant_factors_prime_to_ell"]),
 ]
 
 
@@ -66,7 +88,7 @@ def test_mutant_is_killed(name, path, old, new, targets, tmp_path):
     module.write_text(text.replace(old, new))
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *targets],
-        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(src)),
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(src), PYTEST_DISABLE_PLUGIN_AUTOLOAD="1"),
         capture_output=True, text=True)
     assert result.returncode == 1, (
         f"mutant {name} survived: pytest exited {result.returncode}\n{result.stdout[-2000:]}")
