@@ -26,9 +26,13 @@ therefore computed one support block at a time, each block with its own
 small pair of matrices, and summed; a term that leaves its block raises
 InvariantViolation.  Smith transforms are paid for only when
 representatives are requested.  koszul_cohomology builds the three bases
-around its bidegree; koszul_bigraded builds each basis of the table once,
-grouped by support, and keeps only the groups of the q it is solving.
-Both solve the blocks through one private loop, _solve.
+around its bidegree and the two block matrices of each of its blocks;
+koszul_bigraded builds each basis of the table once, grouped by support,
+and each block differential d_p(S) once, which it reads as the outgoing
+map of block (p, S) and the incoming map of block (p - 1, S).  It keeps
+only the groups of the q it is solving and the maps of two adjacent p.
+Both solve the blocks through one private loop, _solve, and d o d = 0 is
+checked for every block inside homology_of_pair.
 """
 
 from __future__ import annotations
@@ -112,20 +116,29 @@ def _support_blocks(basis: tuple) -> dict:
     return blocks
 
 
-def _solve(K: SimplicialComplex, middle: dict, lower: dict, upper: dict,
-           ring: str, want_representatives: bool) -> tuple:
-    """Cohomology of the support blocks of `middle`, each against its neighbours.
+def _differentials(K: SimplicialComplex, source: dict, target: dict) -> dict:
+    """Block matrices of the differential out of the support groups `source`.
 
-    All three are support groupings from _support_blocks; the block with
-    support S is solved against lower[S] and upper[S], empty where absent.
-    Returns (rank, torsion chain, representatives), the representatives as
-    (block, local coordinates) pairs.
+    Maps each support S of `source` to the matrix from source[S] to
+    target[S], empty where target has no S.
+    """
+    return {S: _matrix(K, block, target.get(S, ())) for S, block in source.items()}
+
+
+def _solve(middle: dict, d_out: dict, d_in: dict, ring: str,
+           want_representatives: bool) -> tuple:
+    """Cohomology of the support blocks of `middle`, each between its two maps.
+
+    `middle` is a support grouping from _support_blocks; the block with
+    support S is solved with d_out[S] leaving it and d_in[S] entering it,
+    or no map entering it where d_in has no S.  Returns (rank, torsion
+    chain, representatives), the representatives as (block, local
+    coordinates) pairs.
     """
     rank, torsion, reps = 0, [], []
     for S, block in middle.items():
-        d_out = _matrix(K, block, lower.get(S, ()))
-        d_in = _matrix(K, upper.get(S, ()), block)
-        H = homology_of_pair(d_in, d_out, ring=ring,
+        incoming = d_in[S] if S in d_in else IntMatrix(len(block), 0)
+        H = homology_of_pair(incoming, d_out[S], ring=ring,
                              want_representatives=want_representatives)
         rank += H.rank
         torsion.extend(H.torsion)
@@ -148,9 +161,12 @@ def koszul_cohomology(K: SimplicialComplex, p: int, q: int, ring: str = "Z",
     middle = koszul_basis(K, p, q)
     if not middle:
         return HomologyResult(0, (), ())
-    rank, torsion, local = _solve(
-        K, _support_blocks(middle), _support_blocks(koszul_basis(K, p - 1, q)),
-        _support_blocks(koszul_basis(K, p + 1, q)), ring, want_representatives)
+    groups = _support_blocks(middle)
+    lower = _support_blocks(koszul_basis(K, p - 1, q))
+    upper = _support_blocks(koszul_basis(K, p + 1, q))
+    d_out = _differentials(K, groups, lower)
+    d_in = {S: _matrix(K, upper.get(S, ()), block) for S, block in groups.items()}
+    rank, torsion, local = _solve(groups, d_out, d_in, ring, want_representatives)
     reps = []
     if local:
         zero = Fraction(0) if ring == "Q" else 0
@@ -169,8 +185,13 @@ def koszul_bigraded(K: SimplicialComplex, ring: str = "Z") -> dict:
     Values are HomologyResult without representatives; use
     koszul_cohomology for a single bidegree with cycles.  Each q builds
     koszul_basis(K, p, q) once for every p it reads and groups it by
-    support once; the groups of a q are dropped when the next q starts.
-    Every middle block is solved exactly as koszul_cohomology solves it.
+    support once.  Walking p upwards, it builds the maps d_{p+1}(S) once,
+    as the incoming maps of the blocks of p, and hands them up as the
+    outgoing maps of the blocks of p + 1; a block with no S above it has
+    no incoming map.  Only the maps of p and p + 1 are held, and the
+    groups and maps of a q are dropped when the next q starts.  Every
+    middle block is solved with the same two matrices koszul_cohomology
+    builds for it.
     """
     check_ring(ring)
     max_face = max(len(f) for f in K.faces)
@@ -181,9 +202,14 @@ def koszul_bigraded(K: SimplicialComplex, ring: str = "Z") -> dict:
         # the neighbours lo - 1 and q + 1 at its ends are empty
         lo = max(0, q - max_face)
         groups = {p: _support_blocks(koszul_basis(K, p, q)) for p in range(lo - 1, q + 2)}
+        # d_out holds d_p leaving the blocks of p; d_{p+1}, built as their
+        # incoming maps, is handed up as the outgoing maps of p + 1
+        d_out = _differentials(K, groups[lo], groups[lo - 1])
         for p in range(lo, q + 1):
-            rank, torsion, _ = _solve(K, groups[p], groups[p - 1], groups[p + 1],
-                                      ring, want_representatives=False)
+            d_in = _differentials(K, groups[p + 1], groups[p])
+            rank, torsion, _ = _solve(groups[p], d_out, d_in, ring,
+                                      want_representatives=False)
             if rank or torsion:
                 table[(p, q)] = HomologyResult(rank, torsion, ())
+            d_out = d_in
     return table

@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from momentangle import koszul
-from momentangle.errors import InvariantViolation
+from momentangle.errors import CompositionError, InvariantViolation
 from momentangle.koszul import (
     differential_matrix,
     koszul_basis,
@@ -210,6 +210,30 @@ def test_differential_leaving_its_block_is_caught(monkeypatch):
     for want in (True, False):
         with pytest.raises(InvariantViolation):
             koszul_cohomology(K, 1, 2, want_representatives=want)
+    for ring in ("Z", "Q"):
+        with pytest.raises(InvariantViolation):
+            koszul_bigraded(K, ring=ring)
+
+
+def test_differential_not_squaring_to_zero_is_caught(monkeypatch):
+    K = square()
+    real = koszul.koszul_differential
+
+    def flipped(K, m):
+        out = real(K, m)
+        if m == ((1, 2), ()):  # d(e1 e2) = e2 x1 - e1 x2, here e2 x1 + e1 x2
+            out[((1,), (2,))] = -out[((1,), (2,))]
+        return out
+
+    monkeypatch.setattr(koszul, "koszul_differential", flipped)
+    # in the support {1, 2} block, d o d sends e1 e2 to 2 x1 x2
+    assert differential_matrix(K, 1, 2).matmul(differential_matrix(K, 2, 2)).nnz() == 1
+    for ring in ("Z", "Q"):
+        for want in (True, False):
+            with pytest.raises(CompositionError):
+                koszul_cohomology(K, 1, 2, ring=ring, want_representatives=want)
+        with pytest.raises(CompositionError):
+            koszul_bigraded(K, ring=ring)
 
 
 def test_cohomology_of_all_small_complexes_is_pinned():
@@ -267,9 +291,27 @@ def assert_table_equals_bidegrees(K, ring):
     return table
 
 
+def drawn_complexes(seed, count):
+    """Seeded complexes on 6 or 7 vertices, generated by 6-14 edges and triangles."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = 6 + i % 2
+        candidates = [f for size in (2, 3) for f in combinations(range(1, n + 1), size)]
+        out.append(SimplicialComplex.from_facets(n, rng.sample(candidates, rng.randint(6, 14))))
+    return out
+
+
+def octahedron_boundary():
+    return SimplicialComplex.from_facets(6, [
+        [1, 2, 3], [1, 2, 6], [1, 5, 3], [1, 5, 6],
+        [4, 2, 3], [4, 2, 6], [4, 5, 3], [4, 5, 6]])
+
+
 def test_table_equals_its_bidegrees():
-    # the table builds each basis once and solves from its own groups; it
-    # must read exactly what the bidegree calls read
+    # the table builds each basis and each block differential once and
+    # solves from its own groups; it must read exactly what the bidegree
+    # calls read
     for ring in ("Z", "Q"):
         for n in (1, 2, 3, 4):
             for K in enumerate_complexes(n):
@@ -278,6 +320,17 @@ def test_table_equals_its_bidegrees():
         table = assert_table_equals_bidegrees(K, "Z")
         assert table[(3, 6)] == HomologyResult(0, (2,), ())
         assert_table_equals_bidegrees(K, "Q")
+    # benchmark sizes: with triangles each support runs through up to four
+    # p, so most differentials are read as one block's d_in and the next
+    # block's d_out
+    for K in drawn_complexes(28, 10):
+        for ring in ("Z", "Q"):
+            assert_table_equals_bidegrees(K, ring)
+    for ring in ("Z", "Q"):
+        # the boundary of the octahedron is S^0 * S^0 * S^0, and Z_K is (S^3)^3
+        table = assert_table_equals_bidegrees(octahedron_boundary(), ring)
+        assert {pq: H.rank for pq, H in table.items()} == \
+            {(0, 0): 1, (1, 2): 3, (2, 4): 3, (3, 6): 1}
 
 
 def test_table_builds_each_basis_once(monkeypatch):
@@ -292,6 +345,27 @@ def test_table_builds_each_basis_once(monkeypatch):
     table = koszul_bigraded(rp2_six())
     assert table[(3, 6)].torsion == (2,)
     assert len(calls) == len(set(calls)) == 36
+
+
+def test_table_builds_each_differential_once(monkeypatch):
+    real = koszul._matrix
+    calls = []
+
+    def counting(K, source, target):
+        calls.append((tuple(source), tuple(target)))
+        return real(K, source, target)
+
+    monkeypatch.setattr(koszul, "_matrix", counting)
+    # one build per middle block: its d_out, which the block below reads
+    # as its d_in
+    for K, builds in ((rp2_six(), 216), (square(), 40)):
+        calls.clear()
+        koszul_bigraded(K)
+        assert len(calls) == len(set(calls)) == builds
+    # a single bidegree still builds both maps of each of its blocks
+    calls.clear()
+    koszul_cohomology(square(), 1, 2, want_representatives=False)
+    assert len(calls) == 2 * len({tuple(sorted(I + J)) for I, J in koszul_basis(square(), 1, 2)})
 
 
 def test_rational_ranks_match_integer():

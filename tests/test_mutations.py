@@ -50,11 +50,17 @@ MUTANTS = [
      "if all(a < b for a, b in zip(keys, keys[1:])):",
      "if all(a <= b for a, b in zip(keys, keys[1:])):",
      ["tests/test_cech.py::test_canonical_tuple_sorts_and_signs"]),
-    # the Koszul table solving each middle block against its upper
-    # neighbours as if they were the lower ones, and the other way round
+    # the Koszul table solving each middle block with its incoming maps
+    # read from the outgoing ones, and the other way round
     ("koszul-table-neighbours-swapped", "koszul.py",
-     "groups[p], groups[p - 1], groups[p + 1]",
-     "groups[p], groups[p + 1], groups[p - 1]",
+     "_solve(groups[p], d_out, d_in, ring,",
+     "_solve(groups[p], d_in, d_out, ring,",
+     ["tests/test_koszul.py::test_table_equals_its_bidegrees"]),
+    # the Koszul table's carried maps never handed up: every p of a q is
+    # solved with the outgoing maps of its lowest p
+    ("koszul-table-carried-maps-not-handed-up", "koszul.py",
+     "            d_out = d_in\n",
+     "",
      ["tests/test_koszul.py::test_table_equals_its_bidegrees"]),
     # each resolvent level's boundary added with the opposite sign, so a
     # valid ladder no longer cancels
