@@ -10,8 +10,8 @@ of size p and face of size q - p sits in bidegree (-p, 2q); this module
 keys everything by the plain pair (p, q) of nonnegative integers and the
 chain convention is that the differential lowers p by one while fixing q.
 koszul_differential returns the image of one monomial as a plain dict
-from monomials to coefficients; the engine reads it only through the
-block matrices.
+from monomials to coefficients.  It is the stated definition, which the
+tests compare the engine against; the engine does not call it.
 
 A monomial is the plain pair (exterior, face) of sorted index tuples.
 Nothing checks that the two parts are disjoint when one is built: a basis
@@ -19,6 +19,13 @@ exterior part is drawn from the vertices outside its face, and a
 differential term only moves an index from one side to the other.  The
 terms of one differential drop different exterior indices, so no two
 coincide, and the block matrices write each entry once.
+
+The matrices are built from bitmasks, bit v for vertex v: each monomial
+of a basis becomes its (exterior, face) mask pair, in basis order, and a
+term survives when its face mask is one of the face masks of K.
+differential_matrix, koszul_cohomology and koszul_bigraded all build
+through the one private _matrix.  The masks are built by each call that
+reads them and dropped when it returns.
 
 The differential also fixes the support, the union of the two index
 sets: this is the Z^n-multigrading of the algebra.  Cohomology is
@@ -81,48 +88,91 @@ def koszul_differential(K: SimplicialComplex, m: tuple) -> dict:
     return out
 
 
-def _matrix(K: SimplicialComplex, source, target) -> IntMatrix:
+def _mask(indices) -> int:
+    """Bitmask of an index tuple: bit v is set for each index v."""
+    mask = 0
+    for v in indices:
+        mask |= 1 << v
+    return mask
+
+
+def _face_masks(K: SimplicialComplex) -> set:
+    """The faces of K as bitmasks."""
+    return {_mask(F) for F in K.faces}
+
+
+def _masks(basis: tuple) -> list:
+    """The monomials of `basis`, in order, as (exterior, face) bitmask pairs.
+
+    Index tuples repeat across a basis, so each is converted once per call.
+    """
+    known: dict = {}
+    out = []
+    for I, J in basis:
+        e = known.get(I)
+        if e is None:
+            e = known[I] = _mask(I)
+        f = known.get(J)
+        if f is None:
+            f = known[J] = _mask(J)
+        out.append((e, f))
+    return out
+
+
+def _matrix(faces: set, source, target) -> IntMatrix:
     """Matrix of the differential from the monomials `source` to `target`.
 
+    Monomials are (exterior, face) bitmask pairs, and `faces` holds the
+    face masks of K.  Moving the index with bit b of e to the face side
+    gives the term (e ^ b, f | b) when f | b is a face, with the sign of
+    koszul_differential: +1 for the lowest index of e, alternating upwards.
     A term outside `target` raises InvariantViolation; for a support block
     that means the differential left the block.
     """
     index = {m: i for i, m in enumerate(target)}
     M = IntMatrix(len(target), len(source))
-    for j, m in enumerate(source):
-        for term, sign in koszul_differential(K, m).items():
-            i = index.get(term)
-            if i is None:
-                raise InvariantViolation(
-                    f"differential of {m} has the term {term} outside its target")
-            M.rows[i][j] = sign
+    rows = M.rows
+    for j, (e, f) in enumerate(source):
+        sign, rest = -1, e
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            sign = -sign
+            if f | b in faces:
+                i = index.get((e ^ b, f | b))
+                if i is None:
+                    raise InvariantViolation(
+                        f"differential of the monomial {(e, f)} has the term "
+                        f"{(e ^ b, f | b)} outside its target (exterior and face bitmasks)")
+                rows[i][j] = sign
     return M
 
 
 def differential_matrix(K: SimplicialComplex, p: int, q: int) -> IntMatrix:
     """Matrix of the differential from bidegree (p, q) to (p - 1, q)."""
-    return _matrix(K, koszul_basis(K, p, q), koszul_basis(K, p - 1, q))
+    return _matrix(_face_masks(K), _masks(koszul_basis(K, p, q)),
+                   _masks(koszul_basis(K, p - 1, q)))
 
 
 def _support_blocks(basis: tuple) -> dict:
-    """Monomials of `basis` grouped by support, the union of both index sets.
+    """Monomials of `basis` as mask pairs, grouped by support mask e | f.
 
     Each value lists its monomials in basis order; supports appear in order
     of first occurrence.
     """
     blocks: dict = {}
-    for m in basis:
-        blocks.setdefault(tuple(sorted(m[0] + m[1])), []).append(m)
+    for m in _masks(basis):
+        blocks.setdefault(m[0] | m[1], []).append(m)
     return blocks
 
 
-def _differentials(K: SimplicialComplex, source: dict, target: dict) -> dict:
+def _differentials(faces: set, source: dict, target: dict) -> dict:
     """Block matrices of the differential out of the support groups `source`.
 
     Maps each support S of `source` to the matrix from source[S] to
     target[S], empty where target has no S.
     """
-    return {S: _matrix(K, block, target.get(S, ())) for S, block in source.items()}
+    return {S: _matrix(faces, block, target.get(S, ())) for S, block in source.items()}
 
 
 def _solve(middle: dict, d_out: dict, d_in: dict, ring: str,
@@ -158,21 +208,22 @@ def koszul_cohomology(K: SimplicialComplex, p: int, q: int, ring: str = "Z",
     Representative vectors are coordinates over koszul_basis(K, p, q).
     """
     check_ring(ring)
-    middle = koszul_basis(K, p, q)
-    if not middle:
+    basis = koszul_basis(K, p, q)
+    if not basis:
         return HomologyResult(0, (), ())
-    groups = _support_blocks(middle)
+    faces = _face_masks(K)
+    groups = _support_blocks(basis)
     lower = _support_blocks(koszul_basis(K, p - 1, q))
     upper = _support_blocks(koszul_basis(K, p + 1, q))
-    d_out = _differentials(K, groups, lower)
-    d_in = {S: _matrix(K, upper.get(S, ()), block) for S, block in groups.items()}
+    d_out = _differentials(faces, groups, lower)
+    d_in = {S: _matrix(faces, upper.get(S, ()), block) for S, block in groups.items()}
     rank, torsion, local = _solve(groups, d_out, d_in, ring, want_representatives)
     reps = []
     if local:
         zero = Fraction(0) if ring == "Q" else 0
-        position = {m: i for i, m in enumerate(middle)}
+        position = {m: i for i, m in enumerate(_masks(basis))}
         for block, coords in local:
-            vec = [zero] * len(middle)
+            vec = [zero] * len(basis)
             for m, v in zip(block, coords):
                 vec[position[m]] = v
             reps.append(tuple(vec))
@@ -195,6 +246,7 @@ def koszul_bigraded(K: SimplicialComplex, ring: str = "Z") -> dict:
     """
     check_ring(ring)
     max_face = max(len(f) for f in K.faces)
+    faces = _face_masks(K)
     table = {}
     for q in range(0, K.n + 1):  # exterior and face parts are disjoint, so q <= n
         # a face of size q - p leaves n - (q - p) >= p vertices for the
@@ -204,9 +256,9 @@ def koszul_bigraded(K: SimplicialComplex, ring: str = "Z") -> dict:
         groups = {p: _support_blocks(koszul_basis(K, p, q)) for p in range(lo - 1, q + 2)}
         # d_out holds d_p leaving the blocks of p; d_{p+1}, built as their
         # incoming maps, is handed up as the outgoing maps of p + 1
-        d_out = _differentials(K, groups[lo], groups[lo - 1])
+        d_out = _differentials(faces, groups[lo], groups[lo - 1])
         for p in range(lo, q + 1):
-            d_in = _differentials(K, groups[p + 1], groups[p])
+            d_in = _differentials(faces, groups[p + 1], groups[p])
             rank, torsion, _ = _solve(groups[p], d_out, d_in, ring,
                                       want_representatives=False)
             if rank or torsion:

@@ -193,20 +193,31 @@ def test_representatives_are_cocycles(K, p, q, rank):
     assert len(quotient_representatives(list(H.representatives), image)) == rank
 
 
+def mask(indices):
+    return sum(1 << v for v in indices)
+
+
+def monomial_masks(I, J):
+    return (mask(I), mask(J))
+
+
 def test_differential_leaving_its_block_is_caught(monkeypatch):
+    # e1 x2 (support {1, 2}) filed under the support {3, 4}: its term
+    # x1 x2 is found in no block of support {3, 4}
     K = square()
-    real = koszul.koszul_differential
-    stray = ((), (3, 4))  # support {3, 4}, in bidegree (0, 2)
+    real = koszul._support_blocks
+    moved = monomial_masks((1,), (2,))
 
-    def leaky(K, m):
-        out = real(K, m)
-        if m == ((1,), (2,)):  # support {1, 2}
-            out[stray] = 1
-        return out
+    def misfiled(basis):
+        blocks = real(basis)
+        if moved in blocks.get(0b110, ()):
+            blocks[0b110].remove(moved)
+            blocks[0b11000].append(moved)
+        return blocks
 
-    monkeypatch.setattr(koszul, "koszul_differential", leaky)
-    # the whole bidegree holds the stray term, so the full matrix takes it
-    assert differential_matrix(K, 1, 2).nnz() == 9
+    monkeypatch.setattr(koszul, "_support_blocks", misfiled)
+    # the whole bidegree is not grouped, so its matrix keeps every term
+    assert differential_matrix(K, 1, 2).nnz() == 8
     for want in (True, False):
         with pytest.raises(InvariantViolation):
             koszul_cohomology(K, 1, 2, want_representatives=want)
@@ -217,15 +228,18 @@ def test_differential_leaving_its_block_is_caught(monkeypatch):
 
 def test_differential_not_squaring_to_zero_is_caught(monkeypatch):
     K = square()
-    real = koszul.koszul_differential
+    real = koszul._matrix
+    top, term = monomial_masks((1, 2), ()), monomial_masks((1,), (2,))
 
-    def flipped(K, m):
-        out = real(K, m)
-        if m == ((1, 2), ()):  # d(e1 e2) = e2 x1 - e1 x2, here e2 x1 + e1 x2
-            out[((1,), (2,))] = -out[((1,), (2,))]
-        return out
+    def flipped(faces, source, target):
+        # d(e1 e2) = e2 x1 - e1 x2, here e2 x1 + e1 x2
+        M = real(faces, source, target)
+        if top in source and term in target:
+            i, j = list(target).index(term), list(source).index(top)
+            M.rows[i][j] = -M.rows[i][j]
+        return M
 
-    monkeypatch.setattr(koszul, "koszul_differential", flipped)
+    monkeypatch.setattr(koszul, "_matrix", flipped)
     # in the support {1, 2} block, d o d sends e1 e2 to 2 x1 x2
     assert differential_matrix(K, 1, 2).matmul(differential_matrix(K, 2, 2)).nnz() == 1
     for ring in ("Z", "Q"):
@@ -234,6 +248,57 @@ def test_differential_not_squaring_to_zero_is_caught(monkeypatch):
                 koszul_cohomology(K, 1, 2, ring=ring, want_representatives=want)
         with pytest.raises(CompositionError):
             koszul_bigraded(K, ring=ring)
+
+
+def reference_matrix(K, source, target):
+    """The differential from `source` to `target`, term by term through
+    koszul_differential; every term must lie in `target`."""
+    index = {m: i for i, m in enumerate(target)}
+    rows = [[0] * len(source) for _ in target]
+    for j, m in enumerate(source):
+        for term, sign in koszul_differential(K, m).items():
+            rows[index[term]][j] = sign
+    return rows
+
+
+def by_support(basis):
+    """Tuple monomials grouped by sorted support, in order of first occurrence."""
+    blocks = {}
+    for I, J in basis:
+        blocks.setdefault(tuple(sorted(I + J)), []).append((I, J))
+    return blocks
+
+
+def assert_blocks_match_reference(K):
+    faces = koszul._face_masks(K)
+    for q in range(K.n + 1):
+        for p in range(q + 2):
+            source, target = koszul_basis(K, p, q), koszul_basis(K, p - 1, q)
+            assert differential_matrix(K, p, q).to_rows() == \
+                reference_matrix(K, source, target), (K, p, q)
+            blocks, lower = by_support(source), by_support(target)
+            # the mask groups hold the same monomials, supports and order
+            groups = koszul._support_blocks(source)
+            below = koszul._support_blocks(target)
+            assert list(groups.values()) == \
+                [[monomial_masks(*m) for m in block] for block in blocks.values()]
+            assert list(groups) == [mask(S) for S in blocks]
+            for (S, block), group in zip(blocks.items(), groups.values()):
+                want = reference_matrix(K, block, lower.get(S, ()))
+                got = koszul._matrix(faces, group, below.get(mask(S), ()))
+                assert got.to_rows() == want and (got.nrows, got.ncols) == \
+                    (len(lower.get(S, ())), len(block)), (K, p, q, S)
+
+
+def test_mask_blocks_equal_the_tuple_definition():
+    # every block matrix the engine builds from bitmasks, and every full
+    # differential matrix, equals the one read off koszul_basis and
+    # koszul_differential term by term
+    for n in (1, 2, 3, 4):
+        for K in enumerate_complexes(n):
+            assert_blocks_match_reference(K)
+    for K in (rp2_six(), with_ghosts(rp2_six(), 2), octahedron_boundary()):
+        assert_blocks_match_reference(K)
 
 
 def test_cohomology_of_all_small_complexes_is_pinned():
@@ -250,6 +315,22 @@ def test_cohomology_of_all_small_complexes_is_pinned():
                         digest.update(repr((H.rank, H.torsion, H.representatives)).encode())
     assert digest.hexdigest() == \
         "52b2ca3f84185a14deb8d70192eaac6e29d8424c6099231639fe9cf5fe91a488"
+
+
+def test_cohomology_of_larger_blocks_is_pinned():
+    # rank, torsion and representatives over Z and Q at every p <= q <= n of
+    # complexes whose blocks are large enough that a change of in-block
+    # order would alter a Smith transform; recorded before the blocks were
+    # built from bitmasks
+    digest = hashlib.sha256()
+    for K in (square(), rp2_six(), octahedron_boundary()):
+        for q in range(K.n + 1):
+            for p in range(q + 1):
+                for ring in ("Z", "Q"):
+                    H = koszul_cohomology(K, p, q, ring=ring)
+                    digest.update(repr((H.rank, H.torsion, H.representatives)).encode())
+    assert digest.hexdigest() == \
+        "712ea76bc441dac4df78662ce6fe9c69ef2b1c291e0ed487ef8c4379b2c72e9b"
 
 
 def test_empty_middle_basis_builds_no_neighbour(monkeypatch):
@@ -351,9 +432,9 @@ def test_table_builds_each_differential_once(monkeypatch):
     real = koszul._matrix
     calls = []
 
-    def counting(K, source, target):
+    def counting(faces, source, target):
         calls.append((tuple(source), tuple(target)))
-        return real(K, source, target)
+        return real(faces, source, target)
 
     monkeypatch.setattr(koszul, "_matrix", counting)
     # one build per middle block: its d_out, which the block below reads

@@ -19,6 +19,7 @@ from momentangle.hochster import (
     reduced_cohomology,
 )
 from momentangle.koszul import (
+    _face_masks,
     _matrix,
     _support_blocks,
     koszul_basis,
@@ -201,13 +202,14 @@ def assert_unit_pivot_paths(M):
 
 def koszul_blocks(K):
     """d_in and d_out of every support block of every bidegree of K."""
+    faces = _face_masks(K)
     for q in range(K.n + 1):
         for p in range(q + 1):
             lower = _support_blocks(koszul_basis(K, p - 1, q))
             upper = _support_blocks(koszul_basis(K, p + 1, q))
             for S, block in _support_blocks(koszul_basis(K, p, q)).items():
-                yield _matrix(K, block, lower.get(S, ()))
-                yield _matrix(K, upper.get(S, ()), block)
+                yield _matrix(faces, block, lower.get(S, ()))
+                yield _matrix(faces, upper.get(S, ()), block)
 
 
 def test_unit_pivots_on_every_koszul_block_of_four_vertices():

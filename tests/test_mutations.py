@@ -62,6 +62,17 @@ MUTANTS = [
      "            d_out = d_in\n",
      "",
      ["tests/test_koszul.py::test_table_equals_its_bidegrees"]),
+    # the Koszul block builder without the sign alternation: every term of
+    # a differential gets the sign of the lowest exterior index
+    ("koszul-mask-sign-not-alternating", "koszul.py",
+     "            sign = -sign\n",
+     "            sign = 1\n",
+     ["tests/test_koszul.py::test_mask_blocks_equal_the_tuple_definition"]),
+    # a term outside its target block dropped instead of raised
+    ("koszul-block-exit-skipped", "koszul.py",
+     "                if i is None:\n                    raise InvariantViolation(",
+     "                if i is None:\n                    continue\n                    raise InvariantViolation(",
+     ["tests/test_koszul.py::test_differential_leaving_its_block_is_caught"]),
     # each resolvent level's boundary added with the opposite sign, so a
     # valid ladder no longer cancels
     ("resolvent-residue-sign", "cech.py",
