@@ -10,19 +10,19 @@ of size p and face of size q - p sits in bidegree (-p, 2q); this module
 keys everything by the plain pair (p, q) of nonnegative integers and the
 chain convention is that the differential lowers p by one while fixing q.
 koszul_differential returns the image of one monomial as a plain dict
-from monomials to coefficients.  It is the stated definition, which the
-tests compare the engine against; the engine does not call it.
+from monomials to coefficients.  It and koszul_basis, whose monomials are
+plain pairs (exterior, face) of sorted index tuples, are the stated
+definition, which the tests compare the engine against; the engine calls
+neither.
 
-A monomial is the plain pair (exterior, face) of sorted index tuples.
-Nothing checks that the two parts are disjoint when one is built: a basis
-exterior part is drawn from the vertices outside its face, and a
-differential term only moves an index from one side to the other.  The
-terms of one differential drop different exterior indices, so no two
-coincide, and the block matrices write each entry once.
-
-The matrices are built from bitmasks, bit v for vertex v: each monomial
-of a basis becomes its (exterior, face) mask pair, in basis order, and a
-term survives when its face mask is one of the face masks of K.
+The engine has one representation: a monomial is the pair (exterior,
+face) of vertex bitmasks, bit v for vertex v.  _basis generates each basis
+as mask pairs, straight in koszul_basis order, and a differential term
+survives when its face mask is one of the face masks of K.  Nothing checks
+that the two parts are disjoint when one is built: a basis exterior part
+misses its face, and a differential term only moves a bit from one side
+to the other.  The terms of one differential drop different exterior
+bits, so no two coincide, and the block matrices write each entry once.
 differential_matrix, koszul_cohomology and koszul_bigraded all build
 through the one private _matrix.  The masks are built by each call that
 reads them and dropped when it returns.
@@ -101,22 +101,18 @@ def _face_masks(K: SimplicialComplex) -> set:
     return {_mask(F) for F in K.faces}
 
 
-def _masks(basis: tuple) -> list:
-    """The monomials of `basis`, in order, as (exterior, face) bitmask pairs.
+def _basis(K: SimplicialComplex, p: int, q: int) -> list:
+    """koszul_basis(K, p, q) as (exterior, face) bitmask pairs, in its order.
 
-    Index tuples repeat across a basis, so each is converted once per call.
+    That order is by exterior set first, so the exterior p-sets are taken
+    lexicographically and, for each, the faces of size q - p that miss it,
+    in K's order, which is lexicographic within a size.
     """
-    known: dict = {}
-    out = []
-    for I, J in basis:
-        e = known.get(I)
-        if e is None:
-            e = known[I] = _mask(I)
-        f = known.get(J)
-        if f is None:
-            f = known[J] = _mask(J)
-        out.append((e, f))
-    return out
+    faces = [_mask(J) for J in K.faces_of_size(q - p)]
+    if p < 0 or not faces:
+        return []
+    bits = [1 << v for v in range(1, K.n + 1)]
+    return [(e, f) for e in map(sum, combinations(bits, p)) for f in faces if not e & f]
 
 
 def _matrix(faces: set, source, target) -> IntMatrix:
@@ -150,18 +146,17 @@ def _matrix(faces: set, source, target) -> IntMatrix:
 
 def differential_matrix(K: SimplicialComplex, p: int, q: int) -> IntMatrix:
     """Matrix of the differential from bidegree (p, q) to (p - 1, q)."""
-    return _matrix(_face_masks(K), _masks(koszul_basis(K, p, q)),
-                   _masks(koszul_basis(K, p - 1, q)))
+    return _matrix(_face_masks(K), _basis(K, p, q), _basis(K, p - 1, q))
 
 
-def _support_blocks(basis: tuple) -> dict:
-    """Monomials of `basis` as mask pairs, grouped by support mask e | f.
+def _support_blocks(basis: list) -> dict:
+    """The mask pairs of `basis`, grouped by support mask e | f.
 
     Each value lists its monomials in basis order; supports appear in order
     of first occurrence.
     """
     blocks: dict = {}
-    for m in _masks(basis):
+    for m in basis:
         blocks.setdefault(m[0] | m[1], []).append(m)
     return blocks
 
@@ -208,20 +203,20 @@ def koszul_cohomology(K: SimplicialComplex, p: int, q: int, ring: str = "Z",
     Representative vectors are coordinates over koszul_basis(K, p, q).
     """
     check_ring(ring)
-    basis = koszul_basis(K, p, q)
+    basis = _basis(K, p, q)
     if not basis:
         return HomologyResult(0, (), ())
     faces = _face_masks(K)
     groups = _support_blocks(basis)
-    lower = _support_blocks(koszul_basis(K, p - 1, q))
-    upper = _support_blocks(koszul_basis(K, p + 1, q))
+    lower = _support_blocks(_basis(K, p - 1, q))
+    upper = _support_blocks(_basis(K, p + 1, q))
     d_out = _differentials(faces, groups, lower)
     d_in = {S: _matrix(faces, upper.get(S, ()), block) for S, block in groups.items()}
     rank, torsion, local = _solve(groups, d_out, d_in, ring, want_representatives)
     reps = []
     if local:
         zero = Fraction(0) if ring == "Q" else 0
-        position = {m: i for i, m in enumerate(_masks(basis))}
+        position = {m: i for i, m in enumerate(basis)}
         for block, coords in local:
             vec = [zero] * len(basis)
             for m, v in zip(block, coords):
@@ -235,8 +230,8 @@ def koszul_bigraded(K: SimplicialComplex, ring: str = "Z") -> dict:
 
     Values are HomologyResult without representatives; use
     koszul_cohomology for a single bidegree with cycles.  Each q builds
-    koszul_basis(K, p, q) once for every p it reads and groups it by
-    support once.  Walking p upwards, it builds the maps d_{p+1}(S) once,
+    the basis of (p, q) once for every p it reads and groups it by support
+    once.  Walking p upwards, it builds the maps d_{p+1}(S) once,
     as the incoming maps of the blocks of p, and hands them up as the
     outgoing maps of the blocks of p + 1; a block with no S above it has
     no incoming map.  Only the maps of p and p + 1 are held, and the
@@ -253,7 +248,7 @@ def koszul_bigraded(K: SimplicialComplex, ring: str = "Z") -> dict:
         # exterior part, so every middle basis in this range is nonempty;
         # the neighbours lo - 1 and q + 1 at its ends are empty
         lo = max(0, q - max_face)
-        groups = {p: _support_blocks(koszul_basis(K, p, q)) for p in range(lo - 1, q + 2)}
+        groups = {p: _support_blocks(_basis(K, p, q)) for p in range(lo - 1, q + 2)}
         # d_out holds d_p leaving the blocks of p; d_{p+1}, built as their
         # incoming maps, is handed up as the outgoing maps of p + 1
         d_out = _differentials(faces, groups[lo], groups[lo - 1])

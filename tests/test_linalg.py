@@ -19,10 +19,10 @@ from momentangle.hochster import (
     reduced_cohomology,
 )
 from momentangle.koszul import (
+    _basis,
     _face_masks,
     _matrix,
     _support_blocks,
-    koszul_basis,
     koszul_bigraded,
     koszul_cohomology,
 )
@@ -205,9 +205,9 @@ def koszul_blocks(K):
     faces = _face_masks(K)
     for q in range(K.n + 1):
         for p in range(q + 1):
-            lower = _support_blocks(koszul_basis(K, p - 1, q))
-            upper = _support_blocks(koszul_basis(K, p + 1, q))
-            for S, block in _support_blocks(koszul_basis(K, p, q)).items():
+            lower = _support_blocks(_basis(K, p - 1, q))
+            upper = _support_blocks(_basis(K, p + 1, q))
+            for S, block in _support_blocks(_basis(K, p, q)).items():
                 yield _matrix(faces, block, lower.get(S, ()))
                 yield _matrix(faces, upper.get(S, ()), block)
 

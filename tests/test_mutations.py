@@ -73,6 +73,19 @@ MUTANTS = [
      "                if i is None:\n                    raise InvariantViolation(",
      "                if i is None:\n                    continue\n                    raise InvariantViolation(",
      ["tests/test_koszul.py::test_differential_leaving_its_block_is_caught"]),
+    # the Koszul mask basis without its disjointness filter: exterior sets
+    # that meet their face make monomials that do not exist
+    ("koszul-basis-not-disjoint", "koszul.py",
+     "for f in faces if not e & f]",
+     "for f in faces]",
+     ["tests/test_koszul.py::test_mask_blocks_equal_the_tuple_definition"]),
+    # the Koszul mask basis with its exterior sets in reverse order: the
+    # same monomials, out of koszul_basis order, so the Smith transforms
+    # and every representative change
+    ("koszul-basis-exteriors-reversed", "koszul.py",
+     "combinations(bits, p)",
+     "combinations(bits[::-1], p)",
+     ["tests/test_koszul.py::test_cohomology_of_larger_blocks_is_pinned"]),
     # each resolvent level's boundary added with the opposite sign, so a
     # valid ladder no longer cancels
     ("resolvent-residue-sign", "cech.py",

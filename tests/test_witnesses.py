@@ -251,6 +251,14 @@ def test_universal_coefficients_on_every_small_complex(ell):
             assert dims_mod(K, ell) == universal_coefficients(betti_table(K).entries, ell), K
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("ell", [2, 3])
+def test_universal_coefficients_on_every_five_vertex_complex(ell):
+    # the n <= 4 case above, exhaustive over five vertices (about 20 s each)
+    for K in enumerate_complexes(5):
+        assert dims_mod(K, ell) == universal_coefficients(betti_table(K).entries, ell), K
+
+
 @pytest.mark.parametrize("name", [None, *FACTORS])
 def test_universal_coefficients_on_the_projective_plane(name):
     K = projective_plane_six()
